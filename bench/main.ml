@@ -668,10 +668,36 @@ let micro () =
 
 module Json = Aring_obs.Json
 
-let json_float = function
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
+(* A committed budget file, read fail-closed: an unreadable or
+   unparsable file, or a missing or mistyped key, exits 1, so a typo in
+   a budget can never switch its gate off. *)
+type budget = { budget_path : string; budget_doc : Json.t }
+
+let budget_error path fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.printf "BUDGET ERROR: %s: %s\n%!" path msg;
+      exit 1)
+    fmt
+
+let load_budget budget_path =
+  match In_channel.with_open_bin budget_path In_channel.input_all with
+  | s -> (
+      match Json.of_string s with
+      | budget_doc -> { budget_path; budget_doc }
+      | exception Json.Parse_error msg -> budget_error budget_path "%s" msg)
+  | exception Sys_error msg -> budget_error budget_path "%s" msg
+
+let budget_float b key =
+  match Json.member key b.budget_doc with
+  | Some (Json.Float v) -> v
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> budget_error b.budget_path "missing or non-numeric key %S" key
+
+let budget_bool b key =
+  match Json.member key b.budget_doc with
+  | Some (Json.Bool v) -> v
+  | _ -> budget_error b.budget_path "missing or non-boolean key %S" key
 
 (* Allocated bytes per call of [f], measured with [Gc.allocated_bytes]
    (precise: counts minor allocations, independent of GC timing). *)
@@ -795,32 +821,11 @@ let hotpath () =
     pipeline_spec.Scenario.offered_mbps deliveries r.Scenario.delivered_mbps
     msgs_per_sec alloc_per_msg rotation_p50 rotation_p99;
   (* Committed budget gate. *)
-  let budget_path = "bench/hotpath_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let max_alloc =
-    Option.bind budget (fun b ->
-        json_float (Json.member "max_pipeline_alloc_bytes_per_msg" b))
-  in
-  let min_reduction =
-    Option.bind budget (fun b ->
-        json_float (Json.member "min_codec_reduction_percent" b))
-  in
-  let alloc_ok =
-    match max_alloc with None -> true | Some m -> alloc_per_msg <= m
-  in
-  let reduction_ok =
-    match min_reduction with
-    | None -> true
-    | Some m -> codec_reduction >= m
-  in
+  let budget = load_budget "bench/hotpath_budget.json" in
+  let max_alloc = budget_float budget "max_pipeline_alloc_bytes_per_msg" in
+  let min_reduction = budget_float budget "min_codec_reduction_percent" in
+  let alloc_ok = alloc_per_msg <= max_alloc in
+  let reduction_ok = codec_reduction >= min_reduction in
   let doc =
     Json.Obj
       [
@@ -859,13 +864,8 @@ let hotpath () =
         ( "budget",
           Json.Obj
             [
-              ( "max_pipeline_alloc_bytes_per_msg",
-                match max_alloc with Some m -> Json.Float m | None -> Json.Null
-              );
-              ( "min_codec_reduction_percent",
-                match min_reduction with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
+              ("max_pipeline_alloc_bytes_per_msg", Json.Float max_alloc);
+              ("min_codec_reduction_percent", Json.Float min_reduction);
               ("pass", Json.Bool (alloc_ok && reduction_ok));
             ] );
       ]
@@ -878,15 +878,11 @@ let hotpath () =
   if not alloc_ok then
     Printf.printf
       "BUDGET FAIL: %.1f allocated bytes/msg exceeds budget %.1f\n%!"
-      alloc_per_msg
-      (Option.get max_alloc);
+      alloc_per_msg max_alloc;
   if not reduction_ok then
     Printf.printf
       "BUDGET FAIL: codec reduction %.1f%% below required %.1f%%\n%!"
-      codec_reduction
-      (Option.get min_reduction);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      codec_reduction min_reduction;
   if not (alloc_ok && reduction_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1015,30 +1011,11 @@ let adaptive () =
          else "collapsed"))
     phase_stats;
   (* Committed budget gate. *)
-  let budget_path = "bench/adaptive_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let max_ratio =
-    Option.bind budget (fun b ->
-        json_float (Json.member "max_ratio_vs_best_static" b))
-  in
-  let beats_worst_req =
-    match Option.bind budget (Json.member "require_beats_worst_static") with
-    | Some (Json.Bool v) -> v
-    | _ -> false
-  in
+  let budget = load_budget "bench/adaptive_budget.json" in
+  let max_ratio = budget_float budget "max_ratio_vs_best_static" in
+  let beats_worst_req = budget_bool budget "require_beats_worst_static" in
   let ratio_ok =
-    match max_ratio with
-    | None -> true
-    | Some m ->
-        List.for_all (fun (_, _, _, _, _, ratio) -> ratio <= m) phase_stats
+    List.for_all (fun (_, _, _, _, _, ratio) -> ratio <= max_ratio) phase_stats
   in
   let worst_ok =
     (not beats_worst_req)
@@ -1122,9 +1099,7 @@ let adaptive () =
         ( "budget",
           Json.Obj
             [
-              ( "max_ratio_vs_best_static",
-                match max_ratio with Some v -> Json.Float v | None -> Json.Null
-              );
+              ("max_ratio_vs_best_static", Json.Float max_ratio);
               ("require_beats_worst_static", Json.Bool beats_worst_req);
               ("pass", Json.Bool (ratio_ok && worst_ok));
             ] );
@@ -1138,12 +1113,10 @@ let adaptive () =
   if not ratio_ok then
     Printf.printf
       "BUDGET FAIL: adaptive/best-static latency ratio exceeds %.2f in some phase\n%!"
-      (Option.get max_ratio);
+      max_ratio;
   if not worst_ok then
     Printf.printf
       "BUDGET FAIL: adaptive does not beat the worst static window in every phase\n%!";
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
   if not (ratio_ok && worst_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1251,27 +1224,16 @@ let bench_kv () =
         ] )
   in
   (* Committed budget gate. *)
-  let budget_path = "bench/kv_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let bound name = Option.bind budget (fun b -> json_float (Json.member name b)) in
+  let budget = load_budget "bench/kv_budget.json" in
+  let bound = budget_float budget in
   let min_ops = bound "min_steady_write_ops_per_sec" in
   let max_p50 = bound "max_steady_write_p50_us" in
   let max_sync_p50 = bound "max_steady_sync_read_p50_us" in
   let max_xfer_per_entry = bound "max_transfer_us_per_entry" in
-  let check_max v = function None -> true | Some m -> v <= m in
-  let check_min v = function None -> true | Some m -> v >= m in
-  let ops_ok = check_min steady.Kv_scenario.write_ops_per_sec min_ops in
-  let p50_ok = check_max (p50 steady.Kv_scenario.write_latency_us) max_p50 in
+  let ops_ok = steady.Kv_scenario.write_ops_per_sec >= min_ops in
+  let p50_ok = p50 steady.Kv_scenario.write_latency_us <= max_p50 in
   let sync_ok =
-    check_max (p50 steady.Kv_scenario.sync_read_latency_us) max_sync_p50
+    p50 steady.Kv_scenario.sync_read_latency_us <= max_sync_p50
   in
   (* Amortized transfer cost, judged at the largest sweep point (fixed
      per-transfer overhead dominates the small ones). *)
@@ -1279,7 +1241,7 @@ let bench_kv () =
   let xfer_per_entry =
     last_t.Kv_scenario.xfer_us /. float_of_int (max 1 last_entries)
   in
-  let xfer_ok = check_max xfer_per_entry max_xfer_per_entry in
+  let xfer_ok = xfer_per_entry <= max_xfer_per_entry in
   let consistent = correctness_ok steady && correctness_ok partitioned in
   let budget_pass = ops_ok && p50_ok && sync_ok && xfer_ok && consistent in
   let doc =
@@ -1319,18 +1281,10 @@ let bench_kv () =
         ( "budget",
           Json.Obj
             [
-              ( "min_steady_write_ops_per_sec",
-                match min_ops with Some m -> Json.Float m | None -> Json.Null );
-              ( "max_steady_write_p50_us",
-                match max_p50 with Some m -> Json.Float m | None -> Json.Null );
-              ( "max_steady_sync_read_p50_us",
-                match max_sync_p50 with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "max_transfer_us_per_entry",
-                match max_xfer_per_entry with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
+              ("min_steady_write_ops_per_sec", Json.Float min_ops);
+              ("max_steady_write_p50_us", Json.Float max_p50);
+              ("max_steady_sync_read_p50_us", Json.Float max_sync_p50);
+              ("max_transfer_us_per_entry", Json.Float max_xfer_per_entry);
               ("transfer_us_per_entry", Json.Float xfer_per_entry);
               ("pass", Json.Bool budget_pass);
             ] );
@@ -1348,22 +1302,19 @@ let bench_kv () =
        %!";
   if not ops_ok then
     Printf.printf "BUDGET FAIL: %.0f write ops/s below required %.0f\n%!"
-      steady.Kv_scenario.write_ops_per_sec (Option.get min_ops);
+      steady.Kv_scenario.write_ops_per_sec min_ops;
   if not p50_ok then
     Printf.printf "BUDGET FAIL: write p50 %.0f us above budget %.0f\n%!"
       (p50 steady.Kv_scenario.write_latency_us)
-      (Option.get max_p50);
+      max_p50;
   if not sync_ok then
     Printf.printf "BUDGET FAIL: sync-read p50 %.0f us above budget %.0f\n%!"
       (p50 steady.Kv_scenario.sync_read_latency_us)
-      (Option.get max_sync_p50);
+      max_sync_p50;
   if not xfer_ok then
     Printf.printf
       "BUDGET FAIL: transfer %.2f us/entry above budget %.2f\n%!"
-      xfer_per_entry
-      (Option.get max_xfer_per_entry);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      xfer_per_entry max_xfer_per_entry;
   if not budget_pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1428,29 +1379,17 @@ let bench_obs () =
     flight_ns flight_alloc disabled_ns disabled_alloc span_ns span_alloc
     health_ns health_alloc;
   (* Committed budget gate. *)
-  let budget_path = "bench/obs_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let bound name =
-    Option.bind budget (fun b -> json_float (Json.member name b))
-  in
-  let check_max v = function None -> true | Some m -> v <= m in
+  let budget = load_budget "bench/obs_budget.json" in
+  let bound = budget_float budget in
   let max_flight_ns = bound "max_flight_ns_per_event" in
   let max_flight_alloc = bound "max_flight_alloc_bytes_per_event" in
   let max_disabled_ns = bound "max_disabled_ns_per_event" in
   let max_detached_ns = bound "max_detached_hook_ns" in
-  let flight_ns_ok = check_max flight_ns max_flight_ns in
-  let flight_alloc_ok = check_max flight_alloc max_flight_alloc in
-  let disabled_ok = check_max disabled_ns max_disabled_ns in
+  let flight_ns_ok = flight_ns <= max_flight_ns in
+  let flight_alloc_ok = flight_alloc <= max_flight_alloc in
+  let disabled_ok = disabled_ns <= max_disabled_ns in
   let detached_ok =
-    check_max span_ns max_detached_ns && check_max health_ns max_detached_ns
+    span_ns <= max_detached_ns && health_ns <= max_detached_ns
   in
   let pass = flight_ns_ok && flight_alloc_ok && disabled_ok && detached_ok in
   let doc =
@@ -1479,22 +1418,10 @@ let bench_obs () =
         ( "budget",
           Json.Obj
             [
-              ( "max_flight_ns_per_event",
-                match max_flight_ns with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "max_flight_alloc_bytes_per_event",
-                match max_flight_alloc with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "max_disabled_ns_per_event",
-                match max_disabled_ns with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "max_detached_hook_ns",
-                match max_detached_ns with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
+              ("max_flight_ns_per_event", Json.Float max_flight_ns);
+              ("max_flight_alloc_bytes_per_event", Json.Float max_flight_alloc);
+              ("max_disabled_ns_per_event", Json.Float max_disabled_ns);
+              ("max_detached_hook_ns", Json.Float max_detached_ns);
               ("pass", Json.Bool pass);
             ] );
       ]
@@ -1507,26 +1434,24 @@ let bench_obs () =
   if not flight_ns_ok then
     Printf.printf "BUDGET FAIL: flight %.1f ns/event above budget %.1f\n%!"
       flight_ns
-      (Option.get max_flight_ns);
+      max_flight_ns;
   if not flight_alloc_ok then
     Printf.printf
       "BUDGET FAIL: flight %.2f allocated bytes/event above budget %.2f\n%!"
       flight_alloc
-      (Option.get max_flight_alloc);
+      max_flight_alloc;
   if not disabled_ok then
     Printf.printf
       "BUDGET FAIL: disabled recorder %.1f ns/event above budget %.1f\n%!"
       disabled_ns
-      (Option.get max_disabled_ns);
+      max_disabled_ns;
   if not detached_ok then
     Printf.printf
       "BUDGET FAIL: detached hook cost (span %.1f / health %.1f ns) above \
        budget %.1f\n\
        %!"
       span_ns health_ns
-      (Option.get max_detached_ns);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      max_detached_ns;
   if not pass then exit 1
 
 (* ==================================================================== *)
@@ -1659,20 +1584,8 @@ let bench_recovery () =
         r.rr_dedup_ratio r.rr_bursts r.rr_resend_reqs r.rr_resends)
     rows;
   (* Committed budget gate. *)
-  let budget_path = "bench/recovery_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let bound name =
-    Option.bind budget (fun b -> json_float (Json.member name b))
-  in
-  let check_max v = function None -> true | Some m -> v <= m in
+  let budget = load_budget "bench/recovery_budget.json" in
+  let bound = budget_float budget in
   let max_reform = bound "max_reform_ms" in
   let max_attempts = bound "max_formation_attempts" in
   let min_ratio = bound "min_dedup_savings_ratio_largest" in
@@ -1683,10 +1596,10 @@ let bench_recovery () =
     List.fold_left (fun a r -> max a r.rr_attempts) 0 rows
   in
   let largest = List.nth rows (List.length rows - 1) in
-  let reform_ok = check_max worst_reform max_reform in
-  let attempts_ok = check_max (float_of_int worst_attempts) max_attempts in
+  let reform_ok = worst_reform <= max_reform in
+  let attempts_ok = float_of_int worst_attempts <= max_attempts in
   let ratio_ok =
-    match min_ratio with None -> true | Some m -> largest.rr_dedup_ratio >= m
+    largest.rr_dedup_ratio >= min_ratio
   in
   let pass = reform_ok && attempts_ok && ratio_ok in
   let doc =
@@ -1714,16 +1627,9 @@ let bench_recovery () =
         ( "budget",
           Json.Obj
             [
-              ( "max_reform_ms",
-                match max_reform with Some m -> Json.Float m | None -> Json.Null
-              );
-              ( "max_formation_attempts",
-                match max_attempts with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "min_dedup_savings_ratio_largest",
-                match min_ratio with Some m -> Json.Float m | None -> Json.Null
-              );
+              ("max_reform_ms", Json.Float max_reform);
+              ("max_formation_attempts", Json.Float max_attempts);
+              ("min_dedup_savings_ratio_largest", Json.Float min_ratio);
               ("pass", Json.Bool pass);
             ] );
       ]
@@ -1735,16 +1641,14 @@ let bench_recovery () =
   Printf.printf "wrote BENCH_recovery.json\n%!";
   if not reform_ok then
     Printf.printf "BUDGET FAIL: worst reform %.1f ms above budget %.1f\n%!"
-      worst_reform (Option.get max_reform);
+      worst_reform max_reform;
   if not attempts_ok then
     Printf.printf "BUDGET FAIL: %d formation attempts above budget %.0f\n%!"
-      worst_attempts (Option.get max_attempts);
+      worst_attempts max_attempts;
   if not ratio_ok then
     Printf.printf
       "BUDGET FAIL: dedup savings ratio %.2f at %d nodes below budget %.2f\n%!"
-      largest.rr_dedup_ratio largest.rr_nodes (Option.get min_ratio);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      largest.rr_dedup_ratio largest.rr_nodes min_ratio;
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1805,21 +1709,8 @@ let bench_load () =
     else float_of_int r.Load.writes_applied /. float_of_int r.Load.writes_offered
   in
   (* Committed budget gate. *)
-  let budget_path = "bench/load_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let bound name =
-    Option.bind budget (fun b -> json_float (Json.member name b))
-  in
-  let check_max v = function None -> true | Some m -> v <= m in
-  let check_min v = function None -> true | Some m -> v >= m in
+  let budget = load_budget "bench/load_budget.json" in
+  let bound = budget_float budget in
   let min_sessions = bound "min_concurrent_sessions" in
   let max_p99 = bound "max_steady_write_p99_us" in
   let max_p999 = bound "max_steady_write_p999_us" in
@@ -1827,19 +1718,19 @@ let bench_load () =
   let max_degradation = bound "max_storm_degradation" in
   let max_recovery = bound "max_storm_recovery_ms" in
   let sessions_ok =
-    check_min (float_of_int steady.Load.sessions_peak) min_sessions
-    && check_min (float_of_int storm.Load.sessions_peak) min_sessions
-    (* The ISSUE floor is unconditional: the harness must sustain at
-       least 2000 concurrent sessions even with no budget file. *)
+    float_of_int steady.Load.sessions_peak >= min_sessions
+    && float_of_int storm.Load.sessions_peak >= min_sessions
+    (* The 2000-session floor is unconditional, whatever the budget
+       file says. *)
     && steady.Load.sessions_peak >= 2000
   in
-  let p99_ok = check_max (p99 steady.Load.write_latency_us) max_p99 in
-  let p999_ok = check_max (Stats.p999 steady.Load.write_latency_us) max_p999 in
-  let ratio_ok = check_min (applied_ratio steady) min_ratio in
-  let degradation_ok = check_max storm.Load.storm_degradation max_degradation in
+  let p99_ok = p99 steady.Load.write_latency_us <= max_p99 in
+  let p999_ok = Stats.p999 steady.Load.write_latency_us <= max_p999 in
+  let ratio_ok = applied_ratio steady >= min_ratio in
+  let degradation_ok = storm.Load.storm_degradation <= max_degradation in
   let recovery_ok =
     storm.Load.storm_recovered_ms >= 0.0
-    && check_max storm.Load.storm_recovered_ms max_recovery
+    && storm.Load.storm_recovered_ms <= max_recovery
     && storm.Load.storm_all_reconnected
   in
   let consistent = correctness_ok steady && correctness_ok storm in
@@ -1901,20 +1792,12 @@ let bench_load () =
         ( "budget",
           Json.Obj
             [
-              ( "min_concurrent_sessions",
-                match min_sessions with Some m -> Json.Float m | None -> Json.Null );
-              ( "max_steady_write_p99_us",
-                match max_p99 with Some m -> Json.Float m | None -> Json.Null );
-              ( "max_steady_write_p999_us",
-                match max_p999 with Some m -> Json.Float m | None -> Json.Null );
-              ( "min_applied_offered_ratio",
-                match min_ratio with Some m -> Json.Float m | None -> Json.Null );
-              ( "max_storm_degradation",
-                match max_degradation with
-                | Some m -> Json.Float m
-                | None -> Json.Null );
-              ( "max_storm_recovery_ms",
-                match max_recovery with Some m -> Json.Float m | None -> Json.Null );
+              ("min_concurrent_sessions", Json.Float min_sessions);
+              ("max_steady_write_p99_us", Json.Float max_p99);
+              ("max_steady_write_p999_us", Json.Float max_p999);
+              ("min_applied_offered_ratio", Json.Float min_ratio);
+              ("max_storm_degradation", Json.Float max_degradation);
+              ("max_storm_recovery_ms", Json.Float max_recovery);
               ("pass", Json.Bool budget_pass);
             ] );
       ]
@@ -1938,30 +1821,28 @@ let bench_load () =
   if not p99_ok then
     Printf.printf "BUDGET FAIL: steady write p99 %.0f us above budget %.0f\n%!"
       (p99 steady.Load.write_latency_us)
-      (Option.get max_p99);
+      max_p99;
   if not p999_ok then
     Printf.printf
       "BUDGET FAIL: steady write p99.9 %.0f us above budget %.0f\n%!"
       (Stats.p999 steady.Load.write_latency_us)
-      (Option.get max_p999);
+      max_p999;
   if not ratio_ok then
     Printf.printf
       "BUDGET FAIL: applied/offered ratio %.3f below budget %.3f\n%!"
-      (applied_ratio steady) (Option.get min_ratio);
+      (applied_ratio steady) min_ratio;
   if not degradation_ok then
     Printf.printf
       "BUDGET FAIL: storm degradation %.0f%% above budget %.0f%%\n%!"
       (100.0 *. storm.Load.storm_degradation)
-      (100.0 *. Option.get max_degradation);
+      (100.0 *. max_degradation);
   if not recovery_ok then
     Printf.printf
       "BUDGET FAIL: storm recovery %.1f ms (all reconnected: %b) misses \
        budget %.1f ms\n\
        %!"
       storm.Load.storm_recovered_ms storm.Load.storm_all_reconnected
-      (match max_recovery with Some m -> m | None -> nan);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      max_recovery;
   if not budget_pass then begin
     (* Post-mortem for the CI artifact, mirroring the fuzz steps. *)
     Aring_obs.Flight.dump_jsonl_file "BENCH_load_flight.jsonl";
@@ -2043,34 +1924,21 @@ let bench_multiring () =
     r.Mload.oracle_violations = 0 && r.Mload.converged
   in
   (* Committed budget gate. *)
-  let budget_path = "bench/multiring_budget.json" in
-  let budget =
-    try
-      let ic = open_in budget_path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (Json.of_string s)
-    with Sys_error _ | Json.Parse_error _ -> None
-  in
-  let bound name =
-    Option.bind budget (fun b -> json_float (Json.member name b))
-  in
-  let check_max v = function None -> true | Some m -> v <= m in
-  let check_min v = function None -> true | Some m -> v >= m in
+  let budget = load_budget "bench/multiring_budget.json" in
+  let bound = budget_float budget in
   let min_speedup_4r = bound "min_speedup_4r" in
   let min_speedup_2r = bound "min_speedup_2r" in
   let max_merge_p99 = bound "max_merge_wait_p99_us" in
   let merge_p99_worst = Float.max (p99 r2.Mload.merge_wait_us) (p99 r4.Mload.merge_wait_us) in
   let speedup_ok =
-    check_min (speedup r4) min_speedup_4r
-    && check_min (speedup r2) min_speedup_2r
+    speedup r4 >= min_speedup_4r
+    && speedup r2 >= min_speedup_2r
     (* The ISSUE floor is unconditional: 4 rings must deliver at least
        3x single-ring aggregate applied throughput, budget file or
        not. *)
     && speedup r4 >= 3.0
   in
-  let merge_ok = check_max merge_p99_worst max_merge_p99 in
+  let merge_ok = merge_p99_worst <= max_merge_p99 in
   let consistent = List.for_all correctness_ok (runs @ [ mcas_run ]) in
   let budget_pass = speedup_ok && merge_ok && consistent in
   let run_json ?name (r : Mload.result) =
@@ -2129,18 +1997,9 @@ let bench_multiring () =
           ( "budget",
             Json.Obj
               [
-                ( "min_speedup_4r",
-                  match min_speedup_4r with
-                  | Some m -> Json.Float m
-                  | None -> Json.Null );
-                ( "min_speedup_2r",
-                  match min_speedup_2r with
-                  | Some m -> Json.Float m
-                  | None -> Json.Null );
-                ( "max_merge_wait_p99_us",
-                  match max_merge_p99 with
-                  | Some m -> Json.Float m
-                  | None -> Json.Null );
+                ("min_speedup_4r", Json.Float min_speedup_4r);
+                ("min_speedup_2r", Json.Float min_speedup_2r);
+                ("max_merge_wait_p99_us", Json.Float max_merge_p99);
                 ("pass", Json.Bool budget_pass);
               ] );
         ])
@@ -2165,9 +2024,7 @@ let bench_multiring () =
     Printf.printf
       "BUDGET FAIL: merge-added p99 %.0f us above budget %.0f\n%!"
       merge_p99_worst
-      (match max_merge_p99 with Some m -> m | None -> nan);
-  if budget = None then
-    Printf.printf "note: no readable %s; budget gate skipped\n%!" budget_path;
+      max_merge_p99;
   if not budget_pass then begin
     (* Post-mortem for the CI artifact, mirroring the fuzz steps. *)
     Aring_obs.Flight.dump_jsonl_file "BENCH_multiring_flight.jsonl";

@@ -2,6 +2,7 @@ open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
 module Deque = Aring_util.Deque
+module SSet = Set.Make (String)
 
 type callbacks = {
   on_message :
@@ -21,6 +22,16 @@ type session = {
   mutable s_inbox : (string * string list * Types.service * bytes) Deque.t option;
 }
 
+(* One group's routing index: the names of the local sessions that union
+   routing sends the group's messages to. *)
+type route = {
+  joined : SSet.t;  (* sessions whose [s_joined] holds the group *)
+  in_table : SSet.t;  (* local sessions whose member name is in the
+                         delivered group table *)
+}
+
+let empty_route = { joined = SSet.empty; in_table = SSet.empty }
+
 type stats = {
   mutable client_deliveries : int;
   mutable group_notifications : int;
@@ -33,6 +44,13 @@ type t = {
   me : Types.pid;
   groups : Groups.t;
   sessions : (string, session) Hashtbl.t;
+  (* Group -> route, kept up to date wherever membership changes (the
+     local join/leave/disconnect calls and every applied Join, Leave or
+     prune), so routing never scans the sessions. Groups with an empty
+     route are absent. *)
+  routes : (string, route) Hashtbl.t;
+  (* "#<me>": the suffix of every member name this daemon hosts. *)
+  member_suffix : string;
   stats : stats;
   packing : bool;
   pack_threshold : int;
@@ -52,11 +70,14 @@ type t = {
 }
 
 let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
+  let me = Member.me member in
   {
     member;
-    me = Member.me member;
+    me;
     groups = Groups.create ();
     sessions = Hashtbl.create 8;
+    routes = Hashtbl.create 16;
+    member_suffix = Printf.sprintf "#%d" me;
     stats =
       {
         client_deliveries = 0;
@@ -90,6 +111,33 @@ let record_metrics ?(prefix = "") t reg =
 
 let group_members t group = Groups.members t.groups group
 let session_member_name _t s = s.s_member
+
+let find_route t group =
+  Option.value ~default:empty_route (Hashtbl.find_opt t.routes group)
+
+let update_route t group f =
+  let r = f (find_route t group) in
+  if SSet.is_empty r.joined && SSet.is_empty r.in_table then
+    Hashtbl.remove t.routes group
+  else Hashtbl.replace t.routes group r
+
+let update_joined t group f name =
+  update_route t group (fun r -> { r with joined = f name r.joined })
+
+let update_in_table t group f name =
+  update_route t group (fun r -> { r with in_table = f name r.in_table })
+
+(* The session name behind [member] when it is a member name this daemon
+   hosts ("#name#<me>", see {!Envelope.member_name}). *)
+let local_session_name t member =
+  let n = String.length member and k = String.length t.member_suffix in
+  if n > k && member.[0] = '#' && String.ends_with ~suffix:t.member_suffix member
+  then Some (String.sub member 1 (n - k - 1))
+  else None
+
+(* The connected sessions behind [names], in ascending name order. *)
+let sessions_of t names =
+  List.filter_map (Hashtbl.find_opt t.sessions) (SSet.elements names)
 
 let connect t ~name callbacks =
   if Hashtbl.mem t.sessions name then
@@ -190,7 +238,10 @@ let submit_envelope t service env =
 
 let join t s group =
   if s.s_open then begin
-    if not (List.mem group s.s_joined) then s.s_joined <- group :: s.s_joined;
+    if not (List.mem group s.s_joined) then begin
+      s.s_joined <- group :: s.s_joined;
+      update_joined t group SSet.add s.s_name
+    end;
     submit_envelope t Types.Agreed (Envelope.Join { member = s.s_member; group })
   end
 
@@ -200,6 +251,7 @@ let join t s group =
 let leave t s group =
   if s.s_open && List.mem group s.s_joined then begin
     s.s_joined <- List.filter (fun g -> g <> group) s.s_joined;
+    update_joined t group SSet.remove s.s_name;
     submit_envelope t Types.Agreed (Envelope.Leave { member = s.s_member; group })
   end
 
@@ -207,6 +259,7 @@ let disconnect t s =
   if s.s_open then begin
     List.iter
       (fun group ->
+        update_joined t group SSet.remove s.s_name;
         submit_envelope t Types.Agreed
           (Envelope.Leave { member = s.s_member; group }))
       s.s_joined;
@@ -222,19 +275,14 @@ let multicast t s ?(service = Types.Agreed) ~groups payload =
     submit_envelope t service
       (Envelope.App { sender = s.s_member; groups; payload })
 
-(* Local sessions that belong to [group]. *)
-let local_members_of t group =
-  let members = Groups.members t.groups group in
-  Hashtbl.fold
-    (fun _ s acc -> if List.mem s.s_member members then s :: acc else acc)
-    t.sessions []
-
+(* Tell the local sessions in [group]'s delivered table (the [in_table]
+   route, which the caller has already updated) about its new view. *)
 let notify_group_view t group members =
   List.iter
     (fun s ->
       t.stats.group_notifications <- t.stats.group_notifications + 1;
       s.s_callbacks.on_group_view ~group ~members)
-    (local_members_of t group)
+    (sessions_of t (find_route t group).in_table)
 
 (* Apply one totally-ordered envelope. Returns one [Deliver] action per
    local recipient so a driving runtime charges per-client delivery cost. *)
@@ -247,15 +295,14 @@ let rec apply_envelope t (d : Message.data) env =
          membership ([s_joined], effective from the join call — so a
          rejoining session never misses a message ordered before its
          re-announced Join lands) or the delivered-join table (effective
-         until the ordered Leave lands) says it belongs. *)
-      let in_table s g = List.mem s.s_member (Groups.members t.groups g) in
-      let joined s g = List.mem g s.s_joined || in_table s g in
-      let recipients =
-        Hashtbl.fold
-          (fun _ s acc ->
-            if s.s_open && List.exists (joined s) groups then s :: acc else acc)
-          t.sessions []
-        |> List.sort (fun a b -> compare a.s_name b.s_name)
+         until the ordered Leave lands) says it belongs. The routes hold
+         exactly those names. *)
+      let names =
+        List.fold_left
+          (fun acc g ->
+            let r = find_route t g in
+            SSet.union acc (SSet.union r.joined r.in_table))
+          SSet.empty groups
       in
       List.map
         (fun s ->
@@ -267,15 +314,23 @@ let rec apply_envelope t (d : Message.data) env =
           | Some q -> Deque.push_back q (sender, groups, d.service, payload)
           | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
           Participant.Deliver d)
-        recipients
+        (sessions_of t names)
   | Envelope.Join { member; group } ->
       (match Groups.join t.groups ~group ~member with
-      | Some members -> notify_group_view t group members
+      | Some members ->
+          Option.iter
+            (update_in_table t group SSet.add)
+            (local_session_name t member);
+          notify_group_view t group members
       | None -> ());
       []
   | Envelope.Leave { member; group } ->
       (match Groups.leave t.groups ~group ~member with
-      | Some members -> notify_group_view t group members
+      | Some members ->
+          Option.iter
+            (update_in_table t group SSet.remove)
+            (local_session_name t member);
+          notify_group_view t group members
       | None -> ());
       []
 
@@ -302,7 +357,14 @@ let handle_view t (v : Participant.view) =
   if not v.transitional then begin
     let keep pid = List.mem pid v.members in
     let changed = Groups.prune t.groups ~keep in
-    List.iter (fun (group, members) -> notify_group_view t group members) changed;
+    List.iter
+      (fun (group, members) ->
+        (* Every member behind an [in_table] route is hosted here, so the
+           prune dropped them all or none. *)
+        if not (keep t.me) then
+          update_route t group (fun r -> { r with in_table = SSet.empty });
+        notify_group_view t group members)
+      changed;
     Hashtbl.iter
       (fun _ s ->
         List.iter

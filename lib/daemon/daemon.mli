@@ -28,7 +28,11 @@ type callbacks = {
       (** Invoked once per delivered application message addressed to a
           group this session belongs to (multi-group sends arrive once). *)
   on_group_view : group:string -> members:string list -> unit;
-      (** Invoked when the membership of a joined group changes. *)
+      (** Invoked when the membership of a joined group changes: for
+          every local session whose member name is in the group's
+          delivered table, in ascending session name (the order App
+          routing uses). [members] is the group's new sorted member
+          list. *)
 }
 
 type stats = {
@@ -125,7 +129,16 @@ val multicast :
     configuration, every daemon therefore hands the same per-group
     envelope stream to each member session — the property the
     replicated-KV layer's "equal op streams per view" argument rests on
-    (see {!Aring_app.Kv}). *)
+    (see {!Aring_app.Kv}).
+
+    Recipients are delivered to in ascending session name, each once.
+    The daemon keeps a per-group index of both routing sets, updated by
+    [join], [leave], [disconnect] and every applied Join, Leave or
+    configuration prune, so routing one delivered envelope costs
+    O(groups in the envelope + recipients) (a disconnected session
+    whose ordered Leave has not landed yet is looked up too), independent
+    of how many other sessions the daemon hosts or how many remote
+    members a group has. *)
 
 val group_members : t -> string -> string list
 (** This daemon's current view of a group. *)

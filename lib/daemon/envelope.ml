@@ -43,7 +43,25 @@ let encode t =
   write_one e t;
   Codec.to_bytes e
 
-let encoded_size t = Bytes.length (encode t)
+(* Mirrors [write_one] field by field: a u8 tag, and an i32 length (or
+   count) before every string, byte string and list. *)
+let string_size s = 4 + String.length s
+
+let rec encoded_size t =
+  match t with
+  | App { sender; groups; payload } ->
+      1 + string_size sender
+      + List.fold_left (fun acc g -> acc + string_size g) 4 groups
+      + 4 + Bytes.length payload
+  | Join { member; group } | Leave { member; group } ->
+      1 + string_size member + string_size group
+  | Batch entries ->
+      List.fold_left
+        (fun acc entry ->
+          match entry with
+          | Batch _ -> invalid_arg "Envelope.encode: nested batch"
+          | entry -> acc + encoded_size entry)
+        5 entries
 
 let rec read_one ~nested d =
   let tag = Codec.read_u8 d in

@@ -27,6 +27,8 @@ val member_name : daemon:int -> session:string -> string
 (** Canonical member name, Spread-style: ["#session#daemon"]. *)
 
 val encoded_size : t -> int
-(** Size of [encode t] (used by the packer to respect its threshold). *)
+(** Size of [encode t], computed without encoding (used by the packer to
+    respect its threshold).
+    @raise Invalid_argument on a nested batch, as {!encode} does. *)
 
 val pp : Format.formatter -> t -> unit

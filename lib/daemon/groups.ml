@@ -1,14 +1,33 @@
-type t = (string, string list) Hashtbl.t
+module S = Set.Make (String)
+
+(* Each group keeps its members twice: as a balanced set for O(log n)
+   membership tests and updates, and as the sorted list {!members} hands
+   out (rebuilt only when the group changes, and returned by [join] /
+   [leave] anyway). *)
+type group = { set : S.t; sorted : string list }
+type t = (string, group) Hashtbl.t
 
 let create () = Hashtbl.create 16
 
-let members t group = Option.value ~default:[] (Hashtbl.find_opt t group)
+let members t group =
+  match Hashtbl.find_opt t group with Some g -> g.sorted | None -> []
 
 let group_names t = Hashtbl.fold (fun g _ acc -> g :: acc) t []
 
-let set t group = function
-  | [] -> Hashtbl.remove t group
-  | ms -> Hashtbl.replace t group ms
+let set_of t group =
+  match Hashtbl.find_opt t group with Some g -> g.set | None -> S.empty
+
+(* Store [set] and return its sorted view. *)
+let store t group set =
+  if S.is_empty set then begin
+    Hashtbl.remove t group;
+    []
+  end
+  else begin
+    let sorted = S.elements set in
+    Hashtbl.replace t group { set; sorted };
+    sorted
+  end
 
 let daemon_of_member name =
   match String.rindex_opt name '#' with
@@ -24,31 +43,23 @@ let valid_member_name name = Option.is_some (daemon_of_member name)
 let join t ~group ~member =
   if not (valid_member_name member) then None
   else
-    let current = members t group in
-    if List.mem member current then None
-    else begin
-      let updated = List.sort compare (member :: current) in
-      set t group updated;
-      Some updated
-    end
+    let current = set_of t group in
+    if S.mem member current then None
+    else Some (store t group (S.add member current))
 
 let leave t ~group ~member =
-  let current = members t group in
-  if not (List.mem member current) then None
-  else begin
-    let updated = List.filter (fun m -> m <> member) current in
-    set t group updated;
-    Some updated
-  end
+  let current = set_of t group in
+  if not (S.mem member current) then None
+  else Some (store t group (S.remove member current))
 
 let prune t ~keep =
   let changed = ref [] in
   let names = group_names t in
   List.iter
     (fun group ->
-      let current = members t group in
+      let current = set_of t group in
       let kept =
-        List.filter
+        S.filter
           (fun m ->
             (* [join] rejects unparsable names, so the [None] branch is
                unreachable on a well-formed table; kept as defense in
@@ -57,9 +68,7 @@ let prune t ~keep =
             match daemon_of_member m with Some d -> keep d | None -> false)
           current
       in
-      if List.length kept <> List.length current then begin
-        set t group kept;
-        changed := (group, kept) :: !changed
-      end)
+      (* [S.filter] returns [current] itself when nothing was removed. *)
+      if kept != current then changed := (group, store t group kept) :: !changed)
     names;
   !changed

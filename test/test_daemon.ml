@@ -44,6 +44,33 @@ let prop_envelope_roundtrip =
       in
       Envelope.decode (Envelope.encode env) = env)
 
+(* [encoded_size] is computed from the codec's field widths, never by
+   encoding; it must agree with the real encoding for every shape. *)
+let envelope_gen =
+  QCheck.Gen.(
+    let str = string_size (0 -- 24) in
+    let plain =
+      frequency
+        [
+          ( 3,
+            map3
+              (fun sender groups payload ->
+                Envelope.App { sender; groups; payload = Bytes.of_string payload })
+              str
+              (list_size (0 -- 4) str)
+              (string_size (0 -- 300)) );
+          (1, map2 (fun member group -> Envelope.Join { member; group }) str str);
+          (1, map2 (fun member group -> Envelope.Leave { member; group }) str str);
+        ]
+    in
+    frequency
+      [ (3, plain); (1, map (fun es -> Envelope.Batch es) (list_size (0 -- 6) plain)) ])
+
+let prop_encoded_size =
+  QCheck.Test.make ~name:"encoded_size = length of encode" ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Envelope.pp) envelope_gen)
+    (fun env -> Envelope.encoded_size env = Bytes.length (Envelope.encode env))
+
 let test_envelope_rejects_garbage () =
   Alcotest.check_raises "bad tag"
     (Codec.Decode_error "unknown envelope tag 99")
@@ -527,7 +554,10 @@ let test_batch_envelope_roundtrip () =
     (Envelope.decode (Envelope.encode batch) = batch);
   Alcotest.check_raises "nested batch rejected"
     (Invalid_argument "Envelope.encode: nested batch") (fun () ->
-      ignore (Envelope.encode (Envelope.Batch [ Envelope.Batch [] ])))
+      ignore (Envelope.encode (Envelope.Batch [ Envelope.Batch [] ])));
+  Alcotest.check_raises "nested batch size rejected"
+    (Invalid_argument "Envelope.encode: nested batch") (fun () ->
+      ignore (Envelope.encoded_size (Envelope.Batch [ Envelope.Batch [] ])))
 
 let make_packing_dcluster ?(n = 3) () =
   let ring = Array.init n (fun i -> i) in
@@ -1014,12 +1044,344 @@ let test_reconnect_storm_mid_view () =
       (Daemon.group_members c.daemons.(i) "storm")
   done
 
+(* --------------------------------------------------------------------
+   Indexed routing. The daemon routes from per-group indexes; these tests
+   hold it to the union-routing rule stated as the original fold over
+   every local session: a connected session receives an App envelope
+   when one of its groups is in the session's own joined set or the
+   session's member name is in the delivered table, recipients in
+   ascending session name. Group views go to the connected sessions in
+   the delivered table, also in ascending name. *)
+
+type route_op =
+  | R_connect of int * string
+  | R_join of int * string * string
+  | R_leave of int * string * string
+  | R_disconnect of int * string
+  | R_reconnect of int * string  (* disconnect and connect again at once *)
+  | R_multicast of int * string * string list
+  | R_view_change of int  (* cut this daemon off for 60 ms *)
+
+let route_groups = [ "g1"; "g2"; "g3" ]
+
+let route_op_gen =
+  QCheck.Gen.(
+    let daemon = int_bound 2 in
+    let name = oneofl [ "a"; "b" ] in
+    let group = oneofl route_groups in
+    frequency
+      [
+        (4, map2 (fun d n -> R_connect (d, n)) daemon name);
+        (5, map3 (fun d n g -> R_join (d, n, g)) daemon name group);
+        (4, map3 (fun d n g -> R_leave (d, n, g)) daemon name group);
+        (2, map2 (fun d n -> R_disconnect (d, n)) daemon name);
+        (2, map2 (fun d n -> R_reconnect (d, n)) daemon name);
+        ( 6,
+          map3
+            (fun d n gs -> R_multicast (d, n, gs))
+            daemon name
+            (list_size (1 -- 3) group) );
+      ])
+
+let print_route_op = function
+  | R_connect (d, n) -> Printf.sprintf "connect(%d,%s)" d n
+  | R_join (d, n, g) -> Printf.sprintf "join(%d,%s,%s)" d n g
+  | R_leave (d, n, g) -> Printf.sprintf "leave(%d,%s,%s)" d n g
+  | R_disconnect (d, n) -> Printf.sprintf "disconnect(%d,%s)" d n
+  | R_reconnect (d, n) -> Printf.sprintf "reconnect(%d,%s)" d n
+  | R_multicast (d, n, gs) ->
+      Printf.sprintf "multicast(%d,%s,[%s])" d n (String.concat "," gs)
+  | R_view_change d -> Printf.sprintf "view_change(%d)" d
+
+let route_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat ";" (List.map print_route_op ops))
+    QCheck.Gen.(
+      (* At most one view change per sequence: each costs a ring
+         reformation and merge, which dominates the run time. *)
+      let* ops = list_size (int_range 1 60) route_op_gen in
+      let* cut =
+        frequency
+          [
+            (1, return None);
+            (1, pair (int_bound (List.length ops)) (int_bound 2) >|= Option.some);
+          ]
+      in
+      return
+        (match cut with
+        | None -> ops
+        | Some (at, d) ->
+            List.filteri (fun i _ -> i < at) ops
+            @ (R_view_change d :: List.filteri (fun i _ -> i >= at) ops)))
+
+(* One connection of a model session. *)
+type rconn = {
+  r_handle : Daemon.session;
+  r_alive : bool ref;  (* false once disconnected *)
+  mutable r_joined : string list;  (* the model of [s_joined] *)
+}
+
+(* Each daemon hosts a probe session that joins every group first, so it
+   is a recipient of every App envelope and is notified of every group
+   view. Its name sorts after every other session name, so its callback
+   fires last for each delivery and each view change; that is when the
+   recipients logged so far are compared with the reference. *)
+let probe_name = "~probe"
+
+(* Replay [ops] on a 3-daemon cluster; returns the mismatches found. *)
+let routing_mismatches ops =
+  let c = make_dcluster ~n:3 () in
+  let conns = Array.init 3 (fun _ -> Hashtbl.create 8) in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let delivered = Array.init 3 (fun _ -> Hashtbl.create 64) in
+  let notified = Array.make 3 [] in
+  let notifications = Array.make 3 0 in
+  let member d name = Envelope.member_name ~daemon:d ~session:name in
+  (* The original fold over every connected session. *)
+  let reference d belongs =
+    Hashtbl.fold
+      (fun name rc acc -> if belongs name rc then name :: acc else acc)
+      conns.(d) []
+    |> List.sort compare
+  in
+  let in_table d name g =
+    List.mem (member d name) (Daemon.group_members c.daemons.(d) g)
+  in
+  let show = String.concat "," in
+  let callbacks d name alive =
+    {
+      Daemon.on_message =
+        (fun ~sender:_ ~groups _service payload ->
+          if not !alive then fail "daemon %d: disconnected %s received" d name;
+          let p = Bytes.to_string payload in
+          let got =
+            name :: Option.value ~default:[] (Hashtbl.find_opt delivered.(d) p)
+          in
+          Hashtbl.replace delivered.(d) p got;
+          if name = probe_name then begin
+            let expected =
+              reference d (fun name rc ->
+                  List.exists
+                    (fun g -> List.mem g rc.r_joined || in_table d name g)
+                    groups)
+            in
+            if List.rev got <> expected then
+              fail "daemon %d: %s went to [%s], reference [%s]" d p
+                (show (List.rev got)) (show expected)
+          end);
+      on_group_view =
+        (fun ~group ~members ->
+          if not !alive then fail "daemon %d: disconnected %s notified" d name;
+          notified.(d) <- name :: notified.(d);
+          if name = probe_name then begin
+            let expected =
+              reference d (fun name _ -> List.mem (member d name) members)
+            in
+            if List.rev notified.(d) <> expected then
+              fail "daemon %d: view of %s went to [%s], reference [%s]" d group
+                (show (List.rev notified.(d))) (show expected);
+            notified.(d) <- [];
+            notifications.(d) <- notifications.(d) + List.length expected;
+            let counted = (Daemon.stats c.daemons.(d)).group_notifications in
+            if counted <> notifications.(d) then
+              fail "daemon %d: group_notifications %d, reference %d" d counted
+                notifications.(d)
+          end);
+    }
+  in
+  let connect d name =
+    let alive = ref true in
+    let h = Daemon.connect c.daemons.(d) ~name (callbacks d name alive) in
+    Hashtbl.replace conns.(d) name { r_handle = h; r_alive = alive; r_joined = [] }
+  in
+  let disconnect d name =
+    match Hashtbl.find_opt conns.(d) name with
+    | Some rc ->
+        Daemon.disconnect c.daemons.(d) rc.r_handle;
+        rc.r_alive := false;
+        Hashtbl.remove conns.(d) name
+    | None -> ()
+  in
+  let with_conn d name f =
+    match Hashtbl.find_opt conns.(d) name with Some rc -> f rc | None -> ()
+  in
+  for d = 0 to 2 do
+    connect d probe_name;
+    with_conn d probe_name (fun rc ->
+        List.iter (fun g -> Daemon.join c.daemons.(d) rc.r_handle g) route_groups;
+        rc.r_joined <- route_groups)
+  done;
+  let apply k = function
+    | R_connect (d, name) ->
+        if not (Hashtbl.mem conns.(d) name) then connect d name
+    | R_join (d, name, g) ->
+        with_conn d name (fun rc ->
+            Daemon.join c.daemons.(d) rc.r_handle g;
+            if not (List.mem g rc.r_joined) then rc.r_joined <- g :: rc.r_joined)
+    | R_leave (d, name, g) ->
+        with_conn d name (fun rc ->
+            Daemon.leave c.daemons.(d) rc.r_handle g;
+            rc.r_joined <- List.filter (( <> ) g) rc.r_joined)
+    | R_disconnect (d, name) -> disconnect d name
+    | R_reconnect (d, name) ->
+        disconnect d name;
+        connect d name
+    | R_multicast (d, name, groups) ->
+        with_conn d name (fun rc ->
+            Daemon.multicast c.daemons.(d) rc.r_handle ~groups
+              (Bytes.of_string (Printf.sprintf "m%d" k)))
+    | R_view_change d ->
+        let now = Netsim.now c.sim in
+        Netsim.set_drop_until c.sim ~until:(now + ms 60) (fun ~src ~dst _ ->
+            src = d <> (dst = d))
+  in
+  List.iteri
+    (fun k op -> Netsim.call_at c.sim ~at:(ms 20 + (k * 1_000_000)) (fun () -> apply k op))
+    ops;
+  (* Long enough for a cut daemon to rejoin and re-announce. *)
+  let settle =
+    if List.exists (function R_view_change _ -> true | _ -> false) ops then ms 300
+    else ms 10
+  in
+  Netsim.run_until c.sim (ms 20 + (List.length ops * 1_000_000) + settle);
+  List.rev !failures
+
+let prop_routing_matches_reference =
+  QCheck.Test.make ~count:50
+    ~name:"indexed routing and group views match the reference fold"
+    route_ops_arb (fun ops ->
+      match routing_mismatches ops with
+      | [] -> true
+      | failures ->
+          QCheck.Test.fail_report
+            (String.concat "\n" (List.filteri (fun i _ -> i < 5) failures)))
+
+let test_reconnect_before_leave_lands_receives () =
+  let c = make_dcluster () in
+  let old_a = fresh_client () and new_a = fresh_client () in
+  let sa = Daemon.connect c.daemons.(0) ~name:"a" (callbacks_of old_a) in
+  let tx = Daemon.connect c.daemons.(0) ~name:"tx" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(0) sa "room";
+  Netsim.run_until c.sim (ms 20);
+  (* Submitted before the disconnect, so per-sender FIFO orders the
+     message before a's Leave: it is delivered while "#a#0" is still in
+     the table, and by then "a" has reconnected without joining. *)
+  Daemon.multicast c.daemons.(0) tx ~groups:[ "room" ] (Bytes.of_string "before");
+  Daemon.disconnect c.daemons.(0) sa;
+  let sa' = Daemon.connect c.daemons.(0) ~name:"a" (callbacks_of new_a) in
+  Netsim.run_until c.sim (ms 40);
+  check (Alcotest.list Alcotest.string) "new connection received" [ "before" ]
+    (payloads_oldest_first new_a);
+  check Alcotest.int "old connection received nothing" 0 (List.length old_a.inbox);
+  check (Alcotest.list Alcotest.string) "leave has landed" []
+    (Daemon.group_members c.daemons.(0) "room");
+  (* Once the Leave has landed, only a join brings "a" back. *)
+  Daemon.multicast c.daemons.(0) tx ~groups:[ "room" ] (Bytes.of_string "after");
+  Netsim.run_until c.sim (ms 60);
+  check (Alcotest.list Alcotest.string) "nothing after the leave" [ "before" ]
+    (payloads_oldest_first new_a);
+  Daemon.join c.daemons.(0) sa' "room";
+  Daemon.multicast c.daemons.(0) tx ~groups:[ "room" ] (Bytes.of_string "rejoined");
+  Netsim.run_until c.sim (ms 80);
+  check (Alcotest.list Alcotest.string) "rejoined" [ "before"; "rejoined" ]
+    (payloads_oldest_first new_a)
+
+let test_disconnected_never_receives () =
+  let c = make_dcluster () in
+  let a = fresh_client () and b = fresh_client () in
+  let sa = Daemon.connect c.daemons.(0) ~name:"a" (callbacks_of a) in
+  let sb = Daemon.connect c.daemons.(1) ~name:"b" (callbacks_of b) in
+  Daemon.join c.daemons.(0) sa "room";
+  Daemon.join c.daemons.(1) sb "room";
+  Netsim.run_until c.sim (ms 20);
+  (* b's messages are in flight when a disconnects; some are ordered
+     before a's Leave, while "#a#0" is still in the table. *)
+  for k = 1 to 5 do
+    Daemon.multicast c.daemons.(1) sb ~groups:[ "room" ]
+      (Bytes.of_string (Printf.sprintf "m%d" k))
+  done;
+  let views_before = List.length a.group_views in
+  Daemon.disconnect c.daemons.(0) sa;
+  Netsim.run_until c.sim (ms 60);
+  check Alcotest.int "b got all five" 5 (List.length b.inbox);
+  check Alcotest.int "a got nothing" 0 (List.length a.inbox);
+  check Alcotest.int "a saw no view change" views_before
+    (List.length a.group_views)
+
+(* Notifications fire in ascending session name, whatever the connect
+   and join order. *)
+let test_group_view_notification_order () =
+  let c = make_dcluster () in
+  let order = ref [] in
+  let recording name =
+    {
+      Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
+      on_group_view =
+        (fun ~group:_ ~members -> order := (name, List.length members) :: !order);
+    }
+  in
+  List.iter
+    (fun name ->
+      let s = Daemon.connect c.daemons.(0) ~name (recording name) in
+      Daemon.join c.daemons.(0) s "room")
+    [ "zed"; "alpha"; "mid"; "beta" ];
+  Netsim.run_until c.sim (ms 20);
+  order := [];
+  let late = Daemon.connect c.daemons.(1) ~name:"late" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(1) late "room";
+  Netsim.run_until c.sim (ms 40);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "ascending session name"
+    [ ("alpha", 5); ("beta", 5); ("mid", 5); ("zed", 5) ]
+    (List.rev !order)
+
+(* Routing cost does not grow with the number of local sessions: with
+   2000 extra idle sessions on every daemon, the same delivery phase
+   allocates the same number of words (the fold it replaced built a
+   closure per session per envelope). *)
+let test_routing_cost_independent_of_sessions () =
+  let delivery_words ~idle =
+    let c = make_dcluster () in
+    let rx = fresh_client () in
+    let s_rx = Daemon.connect c.daemons.(0) ~name:"rx" (callbacks_of rx) in
+    Daemon.join c.daemons.(0) s_rx "g";
+    for d = 0 to 2 do
+      for i = 1 to idle do
+        ignore
+          (Daemon.connect c.daemons.(d)
+             ~name:(Printf.sprintf "idle%04d" i)
+             (callbacks_of (fresh_client ())))
+      done
+    done;
+    let tx = Daemon.connect c.daemons.(1) ~name:"tx" (callbacks_of (fresh_client ())) in
+    Netsim.run_until c.sim (ms 20);
+    let before = Gc.minor_words () in
+    for k = 1 to 200 do
+      Netsim.call_at c.sim
+        ~at:(ms 20 + (k * 50_000))
+        (fun () ->
+          Daemon.multicast c.daemons.(1) tx ~groups:[ "g" ]
+            (Bytes.of_string (string_of_int k)))
+    done;
+    Netsim.run_until c.sim (ms 60);
+    let words = Gc.minor_words () -. before in
+    check Alcotest.int "all delivered" 200 (List.length rx.inbox);
+    words
+  in
+  let base = delivery_words ~idle:0 and crowded = delivery_words ~idle:2000 in
+  if crowded > base *. 1.01 then
+    Alcotest.failf "delivery allocated %.0f words with 2000 idle sessions, %.0f without"
+      crowded base
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
   [
     ("envelope roundtrips", `Quick, test_envelope_roundtrips);
     qtest prop_envelope_roundtrip;
+    qtest prop_encoded_size;
     ("envelope rejects garbage", `Quick, test_envelope_rejects_garbage);
     ("groups join/leave", `Quick, test_groups_join_leave);
     ("groups prune", `Quick, test_groups_prune);
@@ -1050,4 +1412,13 @@ let suite =
     ("slow receiver unmark + disconnect", `Quick,
       test_slow_receiver_unmark_and_disconnect);
     ("reconnect storm mid-view", `Quick, test_reconnect_storm_mid_view);
+    qtest prop_routing_matches_reference;
+    ("reconnect before the leave lands still receives", `Quick,
+      test_reconnect_before_leave_lands_receives);
+    ("disconnected session never receives", `Quick,
+      test_disconnected_never_receives);
+    ("group view notifications in session name order", `Quick,
+      test_group_view_notification_order);
+    ("routing cost independent of session count", `Quick,
+      test_routing_cost_independent_of_sessions);
   ]
