@@ -669,8 +669,9 @@ let micro () =
 module Json = Aring_obs.Json
 
 (* A committed budget file, read fail-closed: an unreadable or
-   unparsable file, or a missing or mistyped key, exits 1, so a typo in
-   a budget can never switch its gate off. *)
+   unparsable file, a missing or mistyped key, or a key outside [keys]
+   (besides "schema" and "comment") exits 1, so a typo in a budget can
+   never switch its gate off. *)
 type budget = { budget_path : string; budget_doc : Json.t }
 
 let budget_error path fmt =
@@ -680,11 +681,18 @@ let budget_error path fmt =
       exit 1)
     fmt
 
-let load_budget budget_path =
+let load_budget budget_path keys =
   match In_channel.with_open_bin budget_path In_channel.input_all with
   | s -> (
       match Json.of_string s with
-      | budget_doc -> { budget_path; budget_doc }
+      | Json.Obj fields as budget_doc ->
+          List.iter
+            (fun (k, _) ->
+              if not (List.mem k ("schema" :: "comment" :: keys)) then
+                budget_error budget_path "unknown key %S" k)
+            fields;
+          { budget_path; budget_doc }
+      | _ -> budget_error budget_path "not a JSON object"
       | exception Json.Parse_error msg -> budget_error budget_path "%s" msg)
   | exception Sys_error msg -> budget_error budget_path "%s" msg
 
@@ -821,7 +829,10 @@ let hotpath () =
     pipeline_spec.Scenario.offered_mbps deliveries r.Scenario.delivered_mbps
     msgs_per_sec alloc_per_msg rotation_p50 rotation_p99;
   (* Committed budget gate. *)
-  let budget = load_budget "bench/hotpath_budget.json" in
+  let budget =
+    load_budget "bench/hotpath_budget.json"
+      [ "max_pipeline_alloc_bytes_per_msg"; "min_codec_reduction_percent" ]
+  in
   let max_alloc = budget_float budget "max_pipeline_alloc_bytes_per_msg" in
   let min_reduction = budget_float budget "min_codec_reduction_percent" in
   let alloc_ok = alloc_per_msg <= max_alloc in
@@ -1011,7 +1022,10 @@ let adaptive () =
          else "collapsed"))
     phase_stats;
   (* Committed budget gate. *)
-  let budget = load_budget "bench/adaptive_budget.json" in
+  let budget =
+    load_budget "bench/adaptive_budget.json"
+      [ "max_ratio_vs_best_static"; "require_beats_worst_static" ]
+  in
   let max_ratio = budget_float budget "max_ratio_vs_best_static" in
   let beats_worst_req = budget_bool budget "require_beats_worst_static" in
   let ratio_ok =
@@ -1224,7 +1238,15 @@ let bench_kv () =
         ] )
   in
   (* Committed budget gate. *)
-  let budget = load_budget "bench/kv_budget.json" in
+  let budget =
+    load_budget "bench/kv_budget.json"
+      [
+        "min_steady_write_ops_per_sec";
+        "max_steady_write_p50_us";
+        "max_steady_sync_read_p50_us";
+        "max_transfer_us_per_entry";
+      ]
+  in
   let bound = budget_float budget in
   let min_ops = bound "min_steady_write_ops_per_sec" in
   let max_p50 = bound "max_steady_write_p50_us" in
@@ -1379,7 +1401,15 @@ let bench_obs () =
     flight_ns flight_alloc disabled_ns disabled_alloc span_ns span_alloc
     health_ns health_alloc;
   (* Committed budget gate. *)
-  let budget = load_budget "bench/obs_budget.json" in
+  let budget =
+    load_budget "bench/obs_budget.json"
+      [
+        "max_flight_ns_per_event";
+        "max_flight_alloc_bytes_per_event";
+        "max_disabled_ns_per_event";
+        "max_detached_hook_ns";
+      ]
+  in
   let bound = budget_float budget in
   let max_flight_ns = bound "max_flight_ns_per_event" in
   let max_flight_alloc = bound "max_flight_alloc_bytes_per_event" in
@@ -1584,7 +1614,14 @@ let bench_recovery () =
         r.rr_dedup_ratio r.rr_bursts r.rr_resend_reqs r.rr_resends)
     rows;
   (* Committed budget gate. *)
-  let budget = load_budget "bench/recovery_budget.json" in
+  let budget =
+    load_budget "bench/recovery_budget.json"
+      [
+        "max_reform_ms";
+        "max_formation_attempts";
+        "min_dedup_savings_ratio_largest";
+      ]
+  in
   let bound = budget_float budget in
   let max_reform = bound "max_reform_ms" in
   let max_attempts = bound "max_formation_attempts" in
@@ -1661,7 +1698,7 @@ let bench_recovery () =
 (* Emits BENCH_load.json, gated by bench/load_budget.json. On a budget  *)
 (* failure the flight recorder's tail is dumped for the CI artifact.    *)
 
-module Load = Aring_load.Load
+module Load = Aring_multiring.Load
 
 let bench_load () =
   Printf.printf "=== Production workload benchmark%s ===\n%!"
@@ -1709,7 +1746,17 @@ let bench_load () =
     else float_of_int r.Load.writes_applied /. float_of_int r.Load.writes_offered
   in
   (* Committed budget gate. *)
-  let budget = load_budget "bench/load_budget.json" in
+  let budget =
+    load_budget "bench/load_budget.json"
+      [
+        "min_concurrent_sessions";
+        "max_steady_write_p99_us";
+        "max_steady_write_p999_us";
+        "min_applied_offered_ratio";
+        "max_storm_degradation";
+        "max_storm_recovery_ms";
+      ]
+  in
   let bound = budget_float budget in
   let min_sessions = bound "min_concurrent_sessions" in
   let max_p99 = bound "max_steady_write_p99_us" in
@@ -1853,15 +1900,16 @@ let bench_load () =
 (* -------------------------------------------------------------------- *)
 (* Multi-ring sharded ordering: ring-scaling benchmark                  *)
 (* The same saturating write-heavy open-loop workload against 1, 2 and  *)
-(* 4 rings sharing the physical cluster, keys sharded across rings and  *)
-(* a deterministic learner merge reassembling one total order. The      *)
+(* 4 rings of 4 nodes, keys sharded across rings and a deterministic    *)
+(* learner merge reassembling one total order. Netsim gives every ring  *)
+(* instance its own simulated host (CPU, NIC, switch port), so R rings  *)
+(* run on R x 4 hosts, not on 4 shared ones. The                        *)
 (* gates: aggregate merged throughput at 4 rings must scale >= the      *)
 (* committed factor over single-ring, and the merge-added p99 (ring     *)
 (* apply -> merged emergence) must stay within budget. Emits            *)
 (* BENCH_multiring.json, gated by bench/multiring_budget.json.          *)
 
 let bench_multiring () =
-  let module Mload = Aring_multiring.Mload in
   Printf.printf "=== Multi-ring sharded ordering benchmark%s ===\n%!"
     (if quick then " [QUICK MODE]" else "");
   (* Write-only mix at an offered rate far past single-ring capacity
@@ -1898,9 +1946,9 @@ let bench_multiring () =
       drain_ns = ms 2_000;
     }
   in
-  let runs = List.map (fun r -> Mload.run (spec r)) [ 1; 2; 4 ] in
+  let runs = List.map (fun r -> Load.run (spec r)) [ 1; 2; 4 ] in
   let mcas_run =
-    Mload.run
+    Load.run
       {
         (spec 4) with
         label = "multiring-4r-mcas";
@@ -1909,27 +1957,30 @@ let bench_multiring () =
       }
   in
   List.iter
-    (fun r -> Printf.printf "%s\n%!" (Format.asprintf "%a" Mload.pp_result r))
+    (fun r -> Printf.printf "%s\n%!" (Format.asprintf "%a" Load.pp_result r))
     (runs @ [ mcas_run ]);
   let find rings =
-    List.find (fun r -> r.Mload.spec.Load.rings = rings) runs
+    List.find (fun r -> r.Load.spec.Load.rings = rings) runs
   in
   let r1 = find 1 and r2 = find 2 and r4 = find 4 in
   let p99 s = Stats.percentile s 99.0 in
-  let speedup (r : Mload.result) =
-    if r1.Mload.applied_write_rate <= 0.0 then 0.0
-    else r.Mload.applied_write_rate /. r1.Mload.applied_write_rate
+  let speedup (r : Load.result) =
+    if r1.Load.applied_write_rate <= 0.0 then 0.0
+    else r.Load.applied_write_rate /. r1.Load.applied_write_rate
   in
-  let correctness_ok (r : Mload.result) =
-    r.Mload.oracle_violations = 0 && r.Mload.converged
+  let correctness_ok (r : Load.result) =
+    r.Load.oracle_violations = 0 && r.Load.converged
   in
   (* Committed budget gate. *)
-  let budget = load_budget "bench/multiring_budget.json" in
+  let budget =
+    load_budget "bench/multiring_budget.json"
+      [ "min_speedup_4r"; "min_speedup_2r"; "max_merge_wait_p99_us" ]
+  in
   let bound = budget_float budget in
   let min_speedup_4r = bound "min_speedup_4r" in
   let min_speedup_2r = bound "min_speedup_2r" in
   let max_merge_p99 = bound "max_merge_wait_p99_us" in
-  let merge_p99_worst = Float.max (p99 r2.Mload.merge_wait_us) (p99 r4.Mload.merge_wait_us) in
+  let merge_p99_worst = Float.max (p99 r2.Load.merge_wait_us) (p99 r4.Load.merge_wait_us) in
   let speedup_ok =
     speedup r4 >= min_speedup_4r
     && speedup r2 >= min_speedup_2r
@@ -1941,36 +1992,36 @@ let bench_multiring () =
   let merge_ok = merge_p99_worst <= max_merge_p99 in
   let consistent = List.for_all correctness_ok (runs @ [ mcas_run ]) in
   let budget_pass = speedup_ok && merge_ok && consistent in
-  let run_json ?name (r : Mload.result) =
+  let run_json ?name (r : Load.result) =
     ( (match name with
       | Some n -> n
-      | None -> Printf.sprintf "rings_%d" r.Mload.spec.Load.rings),
+      | None -> Printf.sprintf "rings_%d" r.Load.spec.Load.rings),
       Json.Obj
         [
-          ("rings", Json.Int r.Mload.spec.Load.rings);
-          ("ops_offered", Json.Int r.Mload.ops_offered);
-          ("writes_offered", Json.Int r.Mload.writes_offered);
-          ("writes_applied", Json.Int r.Mload.writes_applied);
-          ("offered_write_rate", Json.Float r.Mload.offered_write_rate);
-          ("applied_write_rate", Json.Float r.Mload.applied_write_rate);
+          ("rings", Json.Int r.Load.spec.Load.rings);
+          ("ops_offered", Json.Int r.Load.ops_offered);
+          ("writes_offered", Json.Int r.Load.writes_offered);
+          ("writes_applied", Json.Int r.Load.writes_applied);
+          ("offered_write_rate", Json.Float r.Load.offered_write_rate);
+          ("applied_write_rate", Json.Float r.Load.applied_write_rate);
           ("speedup_vs_1r", Json.Float (speedup r));
-          ("write_p50_us", Json.Float (Stats.median r.Mload.write_latency_us));
-          ("write_p99_us", Json.Float (p99 r.Mload.write_latency_us));
-          ("merge_wait_p50_us", Json.Float (Stats.median r.Mload.merge_wait_us));
-          ("merge_wait_p99_us", Json.Float (p99 r.Mload.merge_wait_us));
+          ("write_p50_us", Json.Float (Stats.median r.Load.write_latency_us));
+          ("write_p99_us", Json.Float (p99 r.Load.write_latency_us));
+          ("merge_wait_p50_us", Json.Float (Stats.median r.Load.merge_wait_us));
+          ("merge_wait_p99_us", Json.Float (p99 r.Load.merge_wait_us));
           ( "per_ring_applied",
             Json.List
               (Array.to_list
-                 (Array.map (fun n -> Json.Int n) r.Mload.per_ring_applied)) );
-          ("mcas_submitted", Json.Int r.Mload.mcas_submitted);
-          ("mcas_commits", Json.Int r.Mload.mcas_commits);
-          ("mcas_aborts", Json.Int r.Mload.mcas_aborts);
-          ("mcas_retries", Json.Int r.Mload.mcas_retries);
-          ("skip_credits_spent", Json.Int r.Mload.skip_credits_spent);
-          ("queue_depth_peak", Json.Int r.Mload.queue_depth_peak);
-          ("queue_depth_end", Json.Int r.Mload.queue_depth_end);
-          ("oracle_violations", Json.Int r.Mload.oracle_violations);
-          ("converged", Json.Bool r.Mload.converged);
+                 (Array.map (fun n -> Json.Int n) r.Load.per_ring_applied)) );
+          ("mcas_submitted", Json.Int r.Load.mcas_submitted);
+          ("mcas_commits", Json.Int r.Load.mcas_commits);
+          ("mcas_aborts", Json.Int r.Load.mcas_aborts);
+          ("mcas_retries", Json.Int r.Load.mcas_retries);
+          ("skip_credits_spent", Json.Int r.Load.skip_credits_spent);
+          ("queue_depth_peak", Json.Int r.Load.queue_depth_peak);
+          ("queue_depth_end", Json.Int r.Load.queue_depth_end);
+          ("oracle_violations", Json.Int r.Load.oracle_violations);
+          ("converged", Json.Bool r.Load.converged);
         ] )
   in
   let doc =
@@ -1986,7 +2037,7 @@ let bench_multiring () =
                ("ops_per_sec_offered", Json.Float (spec 1).Load.ops_per_sec);
                ("zipf_theta", Json.Float (spec 1).Load.zipf_theta);
                ("key_space", Json.Int (spec 1).Load.key_space);
-               ("mcas_permille", Json.Int mcas_run.Mload.spec.Load.mcas_permille);
+               ("mcas_permille", Json.Int mcas_run.Load.spec.Load.mcas_permille);
              ] );
        ]
       @ List.map (fun r -> run_json r) runs

@@ -23,6 +23,14 @@ let dump_flight ~path outcome =
   Printf.printf "flight recorder: %d records -> %s (+ %s)\n"
     (Aring_obs.Flight.stored ()) path report_path
 
+(* The runner rejects some bug/stack pairs (a construction-time bug on a
+   stack that cannot plant it): a usage error, not a fuzz failure. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
+
 let run trials seed max_nodes rings bug_name adaptive app_name shrink
     max_shrink_runs time_budget replay_path trace_file corpus_dir flight_dump
     quiet =
@@ -61,7 +69,10 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->
-          let outcome = Fuzzer.replay ~bug ~adaptive ~app ?extra_sink schedule in
+          let outcome =
+            or_usage_error (fun () ->
+                Fuzzer.replay ~bug ~adaptive ~app ?extra_sink schedule)
+          in
           Format.printf "%s: %a@." name Runner.pp_outcome outcome;
           if not (Runner.passed outcome) then begin
             (* Dump the first failure: the recorder holds this run's tail
@@ -99,7 +110,7 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
           log;
         }
       in
-      let report = Fuzzer.run_campaign cfg in
+      let report = or_usage_error (fun () -> Fuzzer.run_campaign cfg) in
       (match report.Fuzzer.failure with
       | None ->
           Printf.printf "campaign seed=%d: %d trials, no failures\n" seed
@@ -170,7 +181,8 @@ let bug_name =
         ~doc:
           "Inject a known protocol defect: clean, skip-delivery, \
            skip-retransmission, kv-skip-apply or recovery-flood. Used to \
-           validate the fuzzer itself.")
+           validate the fuzzer itself. recovery-flood plants only in raw \
+           members (--app none, one ring); any other stack exits 2.")
 
 let adaptive =
   Arg.(

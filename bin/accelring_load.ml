@@ -3,10 +3,10 @@
    Prints offered vs applied rate, p99/p99.9 write latency, open-loop
    queue depth and (when enabled) reconnect-storm degradation and
    recovery. The consistency oracle rides every run; a violation is a
-   hard error. *)
+   hard error, and a malformed spec exits 2. *)
 
 open Aring_sim
-module Load = Aring_load.Load
+module Load = Aring_multiring.Load
 
 let net_of_string = function
   | "1g" -> Ok Profile.gigabit
@@ -17,10 +17,6 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
     reads sync_reads cas dels churn_ms storm_spec slow_spec wan_ns
     seed verbose show_metrics =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
-  if rings < 1 then begin
-    prerr_endline "--rings must be >= 1";
-    exit 2
-  end;
   let storm =
     Option.map
       (fun (at_ms, count) ->
@@ -85,43 +81,27 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
       seed = Int64.of_int seed;
     }
   in
-  if rings > 1 then begin
-    (* Sharded multi-ring deployment: the churn / storm / slow-receiver /
-       geo dimensions stay single-ring, so reject them before Mload does
-       with a friendlier message. *)
-    if churn <> None || slow <> None || geo <> None then begin
-      prerr_endline
-        "--rings > 1 is incompatible with --churn/--storm/--slow/--wan-ns";
-      exit 2
-    end;
-    let module Mload = Aring_multiring.Mload in
-    let result = Mload.run spec in
-    Format.printf "%a@." Mload.pp_result result;
-    if show_metrics then
-      Format.printf "%a@." Aring_obs.Metrics.pp result.Mload.metrics;
-    if result.Mload.oracle_violations > 0 then begin
-      print_endline "CONSISTENCY VIOLATIONS (see per-ring oracles)";
-      exit 1
-    end;
-    if not result.Mload.converged then begin
-      print_endline "replicas did not converge within the drain budget";
-      exit 1
-    end
-  end
-  else begin
-    let result = Load.run spec in
-    Format.printf "%a@." Load.pp_result result;
-    if show_metrics then
-      Format.printf "%a@." Aring_obs.Metrics.pp result.Load.metrics;
-    if result.Load.oracle_violations > 0 then begin
-      Format.printf "CONSISTENCY VIOLATIONS:@.%a@." Aring_app.Oracle.pp
-        result.Load.oracle;
-      exit 1
-    end;
-    if not result.Load.converged then begin
-      print_endline "replicas did not converge within the drain budget";
-      exit 1
-    end
+  let result =
+    match Load.run spec with
+    | r -> r
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
+        exit 2
+  in
+  Format.printf "%a@." Load.pp_result result;
+  if show_metrics then
+    Format.printf "%a@." Aring_obs.Metrics.pp result.Load.metrics;
+  if result.Load.oracle_violations > 0 then begin
+    Format.printf "CONSISTENCY VIOLATIONS:@.";
+    for ring = 0 to rings - 1 do
+      Format.printf "%a@." Aring_app.Oracle.pp
+        (Aring_multiring.Cluster.oracle result.Load.cluster ~ring)
+    done;
+    exit 1
+  end;
+  if not result.Load.converged then begin
+    print_endline "replicas did not converge within the drain budget";
+    exit 1
   end
 
 open Cmdliner
@@ -136,15 +116,17 @@ let rings_arg =
         ~doc:
           "Independent ordering rings the KV key space shards over \
            (1 = classic single-ring). Every node participates in every \
-           ring; latency is measured at the merged learner stream.")
+           ring; latency is measured at the submitting node's merged \
+           learner stream. Churn, storms, slow receivers and WAN work at \
+           any ring count.")
 
 let mcas_arg =
   Arg.(
     value & opt int 20
     & info [ "mcas" ]
         ~doc:
-          "Cross-shard multi-key cas share of the write mix, permille \
-           (multi-ring runs only).")
+          "Cross-shard multi-key cas share of the op mix, permille \
+           (ignored at one ring).")
 
 let net =
   Arg.(

@@ -30,7 +30,8 @@ type t =
           exchange (unpaced, undeduplicated, no retransmission). On
           schedules with near-MTU payloads and a small switch buffer this
           livelocks formation — caught by the health watchdog judge.
-          {!wrap} is the identity for it. *)
+          {!wrap} is the identity for it. Only raw members can carry it:
+          {!Runner.run} rejects it on a cluster-built stack. *)
 
 val label : t -> string
 val of_string : string -> (t, string) result

@@ -1,23 +1,34 @@
 (** Execute one fault schedule on the simulator and judge it.
 
-    The runner builds a full membership-capable cluster ({!Aring_ring.Member})
-    from the schedule's config, attaches the trace-driven EVS invariant
-    checker as a live sink, injects the schedule's faults, drives a padded
-    workload until the horizon, then submits per-node convergence probes
-    and drains. Two oracles:
+    The runner builds one stack from the schedule's config and the
+    hosted {!app}: raw ring members ({!Aring_ring.Member}) for
+    [App_none] at one ring, an {!Aring_multiring.Cluster} of
+    [config.rings] rings for everything else. It attaches the
+    trace-driven EVS invariant checker as a live sink, injects the
+    schedule's faults (ring-scoped partitions and blackouts, physical
+    crashes), drives the workload until the horizon, and runs one
+    chunked judge loop until convergence or the drain deadline. The
+    judges:
 
     - {b Safety}: any {!Aring_obs.Checker} violation (total order, delivery
-      gaps, aru/safe-line regressions, duplicate token holders) fails the
-      run immediately at the next chunk boundary.
+      gaps, aru/safe-line regressions, duplicate token holders), any
+      KV-oracle violation and any cross-shard mcas decided both ways
+      fails the run at the next chunk boundary.
     - {b Liveness}, in two EVS-compatible stages. After all fault windows
       close (the generator keeps them inside the horizon; crashes are
-      permanent), every surviving node must first install one common
-      regular configuration containing exactly the survivors — partitioned
-      rings must re-merge. Only then are the probes submitted: EVS allows
-      a message sequenced in a pre-merge configuration to be delivered
-      only within it, so probing earlier would flag correct behavior.
-      Once probed, every survivor must deliver every survivor's probe
-      within the remaining drain budget.
+      permanent), every surviving node must first install, in every
+      ring, one common regular configuration containing exactly the
+      survivors — partitioned rings must re-merge. Only then does stage
+      two open: raw members submit one probe per survivor (EVS allows a
+      message sequenced in a pre-merge configuration to be delivered
+      only within it, so probing earlier would flag correct behavior),
+      and every survivor must deliver every probe; a cluster sends no
+      probes and must instead reach replica convergence and merge
+      quiescence ({!Aring_multiring.Cluster.kv_converged},
+      {!Aring_multiring.Cluster.merge_settled}). Both within the
+      remaining drain budget.
+    - {b Health}: the watchdog flags a formation livelock or delivery
+      stall before the deadline (liveness schedules only).
 
     Everything — including the early-exit points — is a deterministic
     function of the schedule, so [run] is referentially transparent:
@@ -29,18 +40,19 @@ type app =
   | App_kv
       (** Every member hosts a daemon plus a replicated-KV replica
           ({!Aring_app.Kv}); the workload becomes a skewed
-          put/del/cas/read mix (the schedule's safe-permille drives sync
-          reads), and a shared end-to-end consistency oracle
-          ({!Aring_app.Oracle}) becomes a third judge alongside the
-          trace checker and probe liveness. *)
+          put/del/cas/read mix routed by key shard (the schedule's
+          safe-permille drives sync reads; above one ring, a slice is
+          cross-shard mcas), and the per-ring end-to-end consistency
+          oracles ({!Aring_app.Oracle}) join the judges. *)
 
 type failure =
   | Invariant of Aring_obs.Checker.verdict
       (** Safety violation; the verdict carries the recorded violations. *)
   | No_merge of { states : (int * string) list }
       (** Liveness stage 1: the survivors never installed a common
-          all-survivor regular view within the drain budget; [states] is
-          each survivor's membership state name at the deadline. *)
+          all-survivor regular view in every ring within the drain
+          budget; [states] is each survivor's membership state name per
+          ring at the deadline, keyed by global pid. *)
   | No_convergence of { missing : (int * string) list }
       (** Liveness stage 2: (node, probe) pairs never delivered within
           the drain budget, sorted. *)
@@ -48,8 +60,9 @@ type failure =
       (** The KV consistency oracle recorded violations (stale state or
           reads, op-log gaps, divergence); [messages] is a prefix. *)
   | Kv_unsettled of { nodes : (int * string) list }
-      (** Probes converged but the KV replicas never reached a common
-          settled (applied, digest) state within the drain budget. *)
+      (** The survivors merged but the KV replicas never reached a
+          common settled (applied, digest) state with quiescent merges
+          within the drain budget; keyed by global pid. *)
   | Mcas_divergence of { id : string; decisions : (int * int * bool) list }
       (** Multi-ring only: one cross-shard mcas was decided commit on
           some (node, ring) observation and abort on another —
@@ -86,26 +99,23 @@ val run :
   Schedule.t ->
   outcome
 (** Execute the schedule. [bug] (default {!Bug.Clean}) wraps every
-    participant before the cluster is built — used to prove the fuzzer
+    participant before the stack is built — used to prove the fuzzer
     catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
-    inside the replica and needs [app = App_kv]; {!Bug.Recovery_flood}
-    instead builds every member with the pre-overhaul recovery
-    exchange). With [adaptive]
-    (default [false]), every member runs the AIMD accelerated-window
-    controller ({!Aring_control.Controller}), exercising the ordering and
+    inside ring 0's replica and needs [app = App_kv];
+    {!Bug.Recovery_flood} instead builds every member with the
+    pre-overhaul recovery exchange). With [adaptive] (default [false]),
+    every member runs the AIMD accelerated-window controller
+    ({!Aring_control.Controller}), exercising the ordering and
     membership invariants while the per-node window moves; [app]
     (default {!App_none}) selects the hosted application. Runs stay
     deterministic per schedule for any fixed mode combination; the trace
     hash differs between modes (the controller changes send timing, the
-    kv app adds its own traffic and trace events).
+    kv app adds its own traffic and trace events). [App_none] above one
+    ring builds the cluster but offers no workload.
 
-    A schedule with [config.rings > 1] runs on an
-    {!Aring_multiring.Cluster} instead: every physical node joins all
-    rings, the workload becomes the sharded put/del/cas/read mix plus
-    cross-shard mcas, and convergence is judged per ring on replica
-    equality, merge quiescence and cross-shard decision agreement
-    (probes are never sent; [Bug.Recovery_flood] is not plumbed through
-    the cluster builder and behaves as [Clean]). *)
+    @raise Invalid_argument for {!Bug.Recovery_flood} on a cluster-built
+    stack ([App_kv], or [config.rings > 1]): only raw members can carry
+    it. *)
 
 val passed : outcome -> bool
 

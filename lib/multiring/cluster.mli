@@ -13,8 +13,9 @@
     node's replicas' votes (votes never cross the network) and retries
     lost copies deterministically.
 
-    With [rings = 1] the cluster degenerates to the classic single-ring
-    deployment (no domains pruning anything, merge = identity). *)
+    With [rings = 1] the cluster is the classic single-ring deployment:
+    no domains pruning anything, merge = identity, and no skip
+    generators. *)
 
 open Aring_ring
 open Aring_sim
@@ -61,7 +62,9 @@ val create :
     [skip_credits] unspent units for that ring, so a long idle period
     cannot pile up credits that would strand the ring's next item
     behind thousands of ceded turns; [mcas_retry_ns] (default 8 ms)
-    paces the submitter's mcas retry loop. [controller] is called once per sim
+    paces the submitter's mcas retry loop. [skip_every_ns] and
+    [skip_credits] have no effect at [rings = 1]: a one-ring merge never
+    waits, so no skip is ever multicast. [controller] is called once per sim
     participant (global pid) to give each member its own adaptive
     controller; [wrap] wraps each participant before the sim is built
     (fault injection); [kv_bug] seeds a replica bug (fuzzer self-test).
@@ -158,5 +161,5 @@ val check_convergence : t -> unit
 val oracle_violations : t -> int
 
 val record_metrics : t -> Aring_obs.Metrics.t -> unit
-(** Node-0 replica counters per ring (under ["ring<r>."] prefixes) plus
-    the shared network counters. *)
+(** The shared network counters plus every daemon's and every replica's
+    counters, summed over all rings and nodes. *)

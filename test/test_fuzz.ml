@@ -461,6 +461,23 @@ let test_gather_stall_schedule_converges () =
           (Format.asprintf "%a" Runner.pp_outcome o))
     [ false; true ]
 
+(* [Bug.Recovery_flood] is planted at member construction, which only the
+   raw-member stack does: a cluster-built stack (the kv app, or more
+   than one ring) must refuse it rather than run clean with no bug
+   planted. *)
+let test_recovery_flood_rejected_on_cluster () =
+  let rejected = Invalid_argument
+      "Runner.run: Bug.Recovery_flood needs raw members (app none, one ring)"
+  in
+  let one_ring = Schedule.generate ~seed:3L () in
+  Alcotest.check_raises "kv app" rejected (fun () ->
+      ignore (Runner.run ~bug:Bug.Recovery_flood ~app:Runner.App_kv one_ring));
+  let two_rings = Schedule.generate ~rings:2 ~seed:3L () in
+  Alcotest.check_raises "two rings, no app" rejected (fun () ->
+      ignore (Runner.run ~bug:Bug.Recovery_flood two_rings));
+  Alcotest.check_raises "two rings, kv app" rejected (fun () ->
+      ignore (Runner.run ~bug:Bug.Recovery_flood ~app:Runner.App_kv two_rings))
+
 (* With the legacy flood re-planted ([Bug.Recovery_flood]), the watchdog
    must (a) flag the livelock well before the drain deadline, (b) name
    the repeated gather→exchange→recheck cycle in its verdict so the
@@ -544,5 +561,7 @@ let suite =
      test_gather_stall_schedule_converges);
     ("watchdog flags recovery-flood livelock", `Slow,
      test_watchdog_flags_recovery_flood_livelock);
+    ("recovery-flood rejected on cluster stacks", `Quick,
+     test_recovery_flood_rejected_on_cluster);
     ("corpus save/load", `Quick, test_corpus_save_load);
   ]

@@ -1,10 +1,10 @@
 (* Workload-harness tests: the open-loop property itself (offered rate
    holds to schedule with and without completion backpressure), arrival
    pacing tolerance, fixed-seed determinism, and churn/storm behavior
-   at a size small enough for the unit suite. The bench (`-- load`)
+   at a size small enough for the unit suite, at one ring and at two. The bench (`-- load`)
    exercises the full 2000-session scale; these tests pin semantics. *)
 
-module Load = Aring_load.Load
+module Load = Aring_multiring.Load
 module Stats = Aring_util.Stats
 module Kv_scenario = Aring_app.Kv_scenario
 
@@ -193,13 +193,91 @@ let test_background_churn () =
   if r.Load.writes_applied = 0 then
     Alcotest.fail "churn starved the workload entirely"
 
+(* Every dimension at two rings at once: background churn, a reconnect
+   storm, slow receivers and a partition window that cuts node 3 off in
+   both rings and heals before the horizon. *)
+let two_ring_everything =
+  {
+    small_spec with
+    label = "load-2r-everything";
+    rings = 2;
+    sessions_per_node = 20;
+    mcas_permille = 20;
+    measure_ns = ms 200;
+    churn =
+      Some
+        {
+          Load.mean_lifetime_ns = ms 80;
+          reconnect_delay_ns = ms 4;
+          storm =
+            Some
+              {
+                Load.storm_at_ns = ms 130;
+                storm_sessions = 20;
+                storm_window_ns = ms 15;
+              };
+        };
+    slow = Some { Load.slow_per_node = 1; drain_per_sec = 500.0 };
+    partition =
+      Some { Kv_scenario.part_at_ns = ms 70; heal_at_ns = ms 110; island = [ 3 ] };
+  }
+
+let test_two_rings_every_dimension () =
+  let a = Load.run two_ring_everything in
+  check_clean a;
+  if a.Load.reconnects < 20 then
+    Alcotest.failf "expected churn + storm reconnects, got %d" a.Load.reconnects;
+  check Alcotest.bool "storm sessions all back" true a.Load.storm_all_reconnected;
+  if a.Load.slow_inbox_peak = 0 then
+    Alcotest.fail "slow receivers never queued anything";
+  check Alcotest.bool "both rings carried load" true
+    (Array.for_all (fun c -> c > 0) a.Load.per_ring_applied);
+  let b = Load.run two_ring_everything in
+  check Alcotest.int "ops_offered" a.Load.ops_offered b.Load.ops_offered;
+  check Alcotest.int "ops_skipped" a.Load.ops_skipped b.Load.ops_skipped;
+  check Alcotest.int "writes_applied" a.Load.writes_applied
+    b.Load.writes_applied;
+  check Alcotest.int "reconnects" a.Load.reconnects b.Load.reconnects;
+  check Alcotest.int "latency samples"
+    (Stats.count a.Load.write_latency_us)
+    (Stats.count b.Load.write_latency_us);
+  check Alcotest.int "slow inbox peak" a.Load.slow_inbox_peak
+    b.Load.slow_inbox_peak;
+  check Alcotest.int "mcas commits" a.Load.mcas_commits b.Load.mcas_commits;
+  check Alcotest.int "end_ns" a.Load.end_ns b.Load.end_ns
+
 let test_invalid_specs () =
-  Alcotest.check_raises "zero sessions"
-    (Invalid_argument "Load.run: sessions_per_node < 1") (fun () ->
-      ignore (Load.run { small_spec with sessions_per_node = 0 }));
-  Alcotest.check_raises "empty value mix"
-    (Invalid_argument "Load.run: empty value_mix") (fun () ->
-      ignore (Load.run { small_spec with value_mix = [] }))
+  let rejects name msg spec =
+    Alcotest.check_raises name (Invalid_argument ("Load.run: " ^ msg))
+      (fun () -> ignore (Load.run spec))
+  in
+  rejects "zero sessions" "sessions_per_node < 1"
+    { small_spec with sessions_per_node = 0 };
+  rejects "empty value mix" "empty value_mix" { small_spec with value_mix = [] };
+  rejects "zero rings" "rings < 1" { small_spec with rings = 0 };
+  rejects "negative reads" "negative op-mix permille"
+    { small_spec with read_permille = -1 };
+  rejects "negative dels" "negative op-mix permille"
+    { small_spec with rings = 2; del_permille = -5 };
+  rejects "negative mcas" "negative op-mix permille"
+    { small_spec with rings = 2; mcas_permille = -1 };
+  rejects "mix above 1000" "op mix exceeds 1000 permille"
+    { small_spec with read_permille = 900; cas_permille = 200 };
+  rejects "mix above 1000 with mcas" "op mix exceeds 1000 permille"
+    { small_spec with rings = 2; mcas_permille = 600 };
+  rejects "mcas at one ring" "mcas needs rings > 1"
+    { small_spec with mcas_permille = 10 };
+  rejects "link to no node" "link node out of range"
+    {
+      small_spec with
+      rings = 2;
+      links = [ { Load.l_node = 4; l_up_bps = Some 1_000_000; l_down_bps = None } ];
+    };
+  rejects "geo classes short" "geo classes must cover n_nodes"
+    {
+      small_spec with
+      geo = Some { Load.classes = [| 0; 1 |]; latency_matrix = [| [| 0 |] |] };
+    }
 
 let suite =
   [
@@ -215,5 +293,7 @@ let suite =
       test_reconnect_storm;
     Alcotest.test_case "background churn keeps converging" `Quick
       test_background_churn;
+    Alcotest.test_case "two rings with churn, storm, slow receivers, partition"
+      `Quick test_two_rings_every_dimension;
     Alcotest.test_case "invalid specs rejected" `Quick test_invalid_specs;
   ]

@@ -1,6 +1,7 @@
 (* Multi-ring sharded ordering: qcheck properties of the deterministic
    learner merge, cluster end-to-end smoke, cross-shard multi-key cas
-   regressions under ring-scoped faults, and the multi-ring load driver.
+   regressions under ring-scoped faults, and the load driver at two
+   rings.
 
    The merge properties are the heart of the design: the merged order
    must be a pure function of the per-ring input sequences, so that any
@@ -11,7 +12,6 @@ open Aring_multiring
 module Kv = Aring_app.Kv
 module Op = Aring_app.Op
 module Netsim = Aring_sim.Netsim
-module Load = Aring_load.Load
 module Stats = Aring_util.Stats
 
 let check = Alcotest.check
@@ -418,12 +418,34 @@ let test_mcas_slow_ring_skew () =
   check Alcotest.bool "merge consumed skip credits" true
     (Cluster.mcas_submitted cluster = 1)
 
-(* ---------------- multi-ring load driver ---------------- *)
+(* ---------------- one ring: no skip generators ---------------- *)
 
-let mload_spec =
+(* An idle cluster for many [skip_every_ns] intervals: at one ring the
+   merge never waits, so no replica may see a single skip op; at two
+   rings the same idle run must (the control, proving the count can
+   move). *)
+let idle_skips ~rings =
+  let cluster = Cluster.create ~rings ~nodes:3 ~seed:5L ~skip_every_ns:250_000 () in
+  Netsim.run_until (Cluster.sim cluster) (ms 40);
+  List.concat_map
+    (fun ring ->
+      List.init 3 (fun node ->
+          (Kv.stats (Cluster.kv cluster ~ring ~node)).Kv.skips))
+    (List.init rings Fun.id)
+
+let test_one_ring_no_skips () =
+  List.iteri
+    (fun i skips -> check Alcotest.int (Printf.sprintf "replica %d skips" i) 0 skips)
+    (idle_skips ~rings:1);
+  check Alcotest.bool "two idle rings do skip" true
+    (List.for_all (fun s -> s > 0) (idle_skips ~rings:2))
+
+(* ---------------- load driver at two rings ---------------- *)
+
+let two_ring_spec =
   {
     Load.default_spec with
-    label = "mload-test";
+    label = "load-2r-test";
     rings = 2;
     sessions_per_node = 20;
     n_groups = 8;
@@ -437,46 +459,25 @@ let mload_spec =
     seed = 31L;
   }
 
-let test_mload_smoke () =
-  let r = Mload.run mload_spec in
-  check Alcotest.int "no oracle violations" 0 r.Mload.oracle_violations;
-  check Alcotest.bool "converged" true r.Mload.converged;
-  check Alcotest.bool "merged traffic" true (r.Mload.merged_total > 0);
+let test_load_two_rings_smoke () =
+  let r = Load.run two_ring_spec in
+  check Alcotest.int "no oracle violations" 0 r.Load.oracle_violations;
+  check Alcotest.bool "converged" true r.Load.converged;
+  check Alcotest.bool "merged traffic" true (r.Load.writes_applied > 0);
   check Alcotest.bool "both rings carried load" true
-    (Array.for_all (fun c -> c > 0) r.Mload.per_ring_applied);
-  check Alcotest.bool "mcas committed" true (r.Mload.mcas_commits > 0);
+    (Array.for_all (fun c -> c > 0) r.Load.per_ring_applied);
+  check Alcotest.bool "mcas committed" true (r.Load.mcas_commits > 0);
   check Alcotest.bool "write latency measured" true
-    (Stats.count r.Mload.write_latency_us > 0);
-  check Alcotest.int "queue drained" 0 r.Mload.queue_depth_end
+    (Stats.count r.Load.write_latency_us > 0);
+  check Alcotest.int "queue drained" 0 r.Load.queue_depth_end
 
-let test_mload_deterministic () =
-  let a = Mload.run mload_spec and b = Mload.run mload_spec in
-  check Alcotest.int "offered equal" a.Mload.ops_offered b.Mload.ops_offered;
-  check Alcotest.int "merged equal" a.Mload.merged_total b.Mload.merged_total;
-  check Alcotest.int "mcas commits equal" a.Mload.mcas_commits
-    b.Mload.mcas_commits;
-  check Alcotest.int "end time equal" a.Mload.end_ns b.Mload.end_ns
-
-(* Single-ring spec must be rejected by Mload only on bad dims, and
-   Load must reject multi-ring specs. *)
-let test_dispatch_guards () =
-  Alcotest.check_raises "Load rejects rings=2"
-    (Invalid_argument "Load.run: multi-ring specs run via Aring_multiring.Mload.run")
-    (fun () -> ignore (Load.run { Load.default_spec with rings = 2 }));
-  Alcotest.check_raises "Mload rejects churn"
-    (Invalid_argument "Mload.run: churn unsupported") (fun () ->
-      ignore
-        (Mload.run
-           {
-             mload_spec with
-             churn =
-               Some
-                 {
-                   Load.mean_lifetime_ns = ms 50;
-                   reconnect_delay_ns = ms 5;
-                   storm = None;
-                 };
-           }))
+let test_load_two_rings_deterministic () =
+  let a = Load.run two_ring_spec and b = Load.run two_ring_spec in
+  check Alcotest.int "offered equal" a.Load.ops_offered b.Load.ops_offered;
+  check Alcotest.int "merged equal" a.Load.writes_applied b.Load.writes_applied;
+  check Alcotest.int "mcas commits equal" a.Load.mcas_commits
+    b.Load.mcas_commits;
+  check Alcotest.int "end time equal" a.Load.end_ns b.Load.end_ns
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -494,7 +495,7 @@ let suite =
       `Quick,
       test_mcas_membership_change_between_writes );
     ("mcas vs 100x ring skew", `Quick, test_mcas_slow_ring_skew);
-    ("mload smoke", `Quick, test_mload_smoke);
-    ("mload deterministic", `Quick, test_mload_deterministic);
-    ("dispatch guards", `Quick, test_dispatch_guards);
+    ("one ring multicasts no skips", `Quick, test_one_ring_no_skips);
+    ("load at two rings smoke", `Quick, test_load_two_rings_smoke);
+    ("load at two rings deterministic", `Quick, test_load_two_rings_deterministic);
   ]
