@@ -1,48 +1,40 @@
 open Aring_wire
 open Aring_ring
-module Heap = Aring_util.Heap
 module Prng = Aring_util.Prng
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 
-(* The event queue is allocation-free in steady state: events live in a
-   preallocated arena of mutable records, the heap orders arena {e indices}
-   (immediate ints), and freed slots are recycled through an index stack.
-   Scheduling a packet arrival touches no closure, no tuple and no variant
-   cell — it writes fields of a recycled record. Ordering is exactly the
-   seed semantics: (timestamp clamped to now, monotonic insertion seq). *)
+(* The event queue is allocation-free in steady state. Each pending event
+   is keyed by (timestamp clamped to now, monotonic insertion seq), and
+   the key lives inline in a 4-ary min-heap of flat int triples
+   [at; seq; slot]: a comparison is int loads from one array, with no
+   closure call and no pointer chase. [slot] indexes the payload arrays
+   (kind, node, message, timer, thunk); freed slots are recycled through
+   an index stack. Scheduling a packet arrival touches no closure, no
+   tuple and no variant cell — it writes a recycled slot. *)
 
 type Participant.timer += No_timer
 (* Placeholder stored in freed slots so they retain no live timer. Never
    dispatched. *)
 
-type ev_kind = Free | Arrival | Cpu_run | Timer | Port_drain | Call
-
-type ev = {
-  mutable at : int;
-  mutable seq : int;
-  mutable kind : ev_kind;
-  mutable node : int;
-  mutable size : int;  (* Port_drain: bytes to release *)
-  mutable msg : Message.t;  (* Arrival payload *)
-  mutable timer : Participant.timer;
-  mutable fn : unit -> unit;  (* Call thunk *)
-}
+type ev_kind = Free | Arrival | Cpu_run | Timer | Call
 
 let dummy_msg =
   Message.Join { j_pid = -1; proc_set = []; fail_set = []; join_seq = 0 }
 
-let fresh_ev () =
-  {
-    at = 0;
-    seq = 0;
-    kind = Free;
-    node = -1;
-    size = 0;
-    msg = dummy_msg;
-    timer = No_timer;
-    fn = ignore;
-  }
+(* A drop-tail switch output port. [bytes] counts the packets accepted
+   and not yet serialized out. [fifo] is a ring of (done, seq, size) int
+   triples, one per such packet, oldest at [head]: [done] is the instant
+   the packet leaves the port and [seq] the event seq its release takes.
+   Keys (done, seq) increase along the ring, because the port serializes
+   in acceptance order and seqs are handed out in order. *)
+type port = {
+  mutable free_at : int;  (* instant the port finishes its last packet *)
+  mutable bytes : int;
+  mutable fifo : int array;
+  mutable head : int;
+  mutable len : int;
+}
 
 type stats = {
   mutable packets_sent : int;
@@ -55,17 +47,22 @@ type t = {
   net : Profile.net;
   tiers : Profile.tier array;
   parts : Participant.t array;
-  events : int Heap.t;  (* arena indices, ordered by (at, seq) *)
-  arena : ev array ref;
-      (* Behind a ref so the heap's comparison closure follows growth. *)
+  mutable q : int array;  (* heap of [at; seq; slot] triples *)
+  mutable q_len : int;
+  (* Event payloads by slot, each array as long as [q] has triples. *)
+  mutable kinds : ev_kind array;
+  mutable nodes : int array;
+  mutable msgs : Message.t array;  (* Arrival *)
+  mutable timers : Participant.timer array;  (* Timer *)
+  mutable fns : (unit -> unit) array;  (* Call *)
   mutable free_stack : int array;
   mutable free_top : int;
   mutable event_seq : int;
   mutable now : int;
+  mutable cur_seq : int;  (* seq of the event being dispatched *)
   prng : Prng.t;
   nic_free : int array;
-  port_free : int array;
-  port_bytes : int array;
+  ports : port array;
   cpu_busy : int array;
   cpu_scheduled : bool array;
   alive : bool array;
@@ -97,15 +94,75 @@ let on_token_loss t f = t.token_loss_cb <- f
 let set_drop t f = t.drop <- f
 let is_alive t i = t.alive.(i)
 
-(* ------------------------------------------------------------------ *)
-(* Event arena                                                          *)
+(* [Stdlib.max] compares polymorphically; the hot paths only need ints. *)
+let imax (a : int) b = if a >= b then a else b
 
-let grow_arena t =
-  let old = !(t.arena) in
-  let old_n = Array.length old in
-  let n = max 64 (2 * old_n) in
-  let arena = Array.init n (fun i -> if i < old_n then old.(i) else fresh_ev ()) in
-  t.arena := arena;
+(* (a, s) < (b, u) in key order, with int-typed comparisons only. *)
+let[@inline] key_lt (a : int) (s : int) (b : int) (u : int) =
+  a < b || (a = b && s < u)
+
+(* ------------------------------------------------------------------ *)
+(* Event queue                                                          *)
+
+(* Move the hole at heap position [i] up past every parent whose key
+   exceeds (at, seq); returns where the hole stops. *)
+let rec hole_up (q : int array) i at seq =
+  if i = 0 then 0
+  else
+    let p = (i - 1) / 4 in
+    let pa = q.(3 * p) and ps = q.((3 * p) + 1) in
+    if key_lt at seq pa ps then begin
+      q.(3 * i) <- pa;
+      q.((3 * i) + 1) <- ps;
+      q.((3 * i) + 2) <- q.((3 * p) + 2);
+      hole_up q p at seq
+    end
+    else i
+
+(* Move the hole at heap position [i], in a heap of [n] triples, down past
+   every smallest child whose key is below (at, seq); returns where the
+   hole stops. *)
+let rec hole_down (q : int array) n i at seq =
+  let c = (4 * i) + 1 in
+  if c >= n then i
+  else begin
+    let last = if c + 3 < n then c + 3 else n - 1 in
+    let m = ref c and ma = ref q.(3 * c) and ms = ref q.((3 * c) + 1) in
+    for k = c + 1 to last do
+      let ka = q.(3 * k) and ks = q.((3 * k) + 1) in
+      if key_lt ka ks !ma !ms then begin
+        m := k;
+        ma := ka;
+        ms := ks
+      end
+    done;
+    if key_lt !ma !ms at seq then begin
+      q.(3 * i) <- !ma;
+      q.((3 * i) + 1) <- !ms;
+      q.((3 * i) + 2) <- q.((3 * !m) + 2);
+      hole_down q n !m at seq
+    end
+    else i
+  end
+
+(* The queue and the payload arrays grow together, so a push never needs
+   a check: every queued event holds one allocated slot. *)
+let grow_slots t =
+  let old_n = Array.length t.kinds in
+  let n = 2 * old_n in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 old_n;
+    b
+  in
+  t.kinds <- extend t.kinds Free;
+  t.nodes <- extend t.nodes (-1);
+  t.msgs <- extend t.msgs dummy_msg;
+  t.timers <- extend t.timers No_timer;
+  t.fns <- extend t.fns ignore;
+  let q = Array.make (3 * n) 0 in
+  Array.blit t.q 0 q 0 (3 * t.q_len);
+  t.q <- q;
   let stack = Array.make n 0 in
   Array.blit t.free_stack 0 stack 0 t.free_top;
   t.free_stack <- stack;
@@ -114,55 +171,93 @@ let grow_arena t =
     t.free_top <- t.free_top + 1
   done
 
-let alloc_ev t =
-  if t.free_top = 0 then grow_arena t;
+let alloc_slot t =
+  if t.free_top = 0 then grow_slots t;
   t.free_top <- t.free_top - 1;
   t.free_stack.(t.free_top)
 
 let enqueue t at i =
-  let e = (!(t.arena)).(i) in
-  e.at <- (if at < t.now then t.now else at);
+  let at = if at < t.now then t.now else at in
   t.event_seq <- t.event_seq + 1;
-  e.seq <- t.event_seq;
-  Heap.push t.events i
+  let seq = t.event_seq and q = t.q in
+  let h = hole_up q t.q_len at seq in
+  q.(3 * h) <- at;
+  q.((3 * h) + 1) <- seq;
+  q.((3 * h) + 2) <- i;
+  t.q_len <- t.q_len + 1
 
 let sched_arrival t at node msg =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Arrival;
-  e.node <- node;
-  e.msg <- msg;
+  let i = alloc_slot t in
+  t.kinds.(i) <- Arrival;
+  t.nodes.(i) <- node;
+  t.msgs.(i) <- msg;
   enqueue t at i
 
 let sched_cpu t at node =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Cpu_run;
-  e.node <- node;
+  let i = alloc_slot t in
+  t.kinds.(i) <- Cpu_run;
+  t.nodes.(i) <- node;
   enqueue t at i
 
 let sched_timer t at node timer =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Timer;
-  e.node <- node;
-  e.timer <- timer;
-  enqueue t at i
-
-let sched_drain t at node size =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Port_drain;
-  e.node <- node;
-  e.size <- size;
+  let i = alloc_slot t in
+  t.kinds.(i) <- Timer;
+  t.nodes.(i) <- node;
+  t.timers.(i) <- timer;
   enqueue t at i
 
 let sched_call t at fn =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Call;
-  e.fn <- fn;
+  let i = alloc_slot t in
+  t.kinds.(i) <- Call;
+  t.fns.(i) <- fn;
   enqueue t at i
+
+(* ------------------------------------------------------------------ *)
+(* Switch ports                                                         *)
+
+(* Release the bytes of every packet that has left [p] before the event
+   being dispatched. Each release carries a key (done, seq) drawn like an
+   event's when its packet was accepted, so a release event in the queue
+   would have been popped by now exactly when its key is below
+   (now, cur_seq): the queue pops in key order, and everything scheduled
+   from here on gets a larger key. [bytes] therefore reads as if every
+   release were an event, timestamp ties included, with none queued. *)
+let port_retire t p =
+  let fifo = p.fifo in
+  let cap = Array.length fifo / 3 in
+  while
+    p.len > 0
+    && key_lt fifo.(3 * p.head) fifo.((3 * p.head) + 1) t.now t.cur_seq
+  do
+    p.bytes <- p.bytes - fifo.((3 * p.head) + 2);
+    p.head <- (if p.head + 1 = cap then 0 else p.head + 1);
+    p.len <- p.len - 1
+  done
+
+(* Accept [size] bytes that leave [p] at [done_at]. The release takes an
+   event seq and clamps like [enqueue], so the seqs of all real events
+   are the same as if it were queued. *)
+let port_accept t p ~done_at size =
+  let cap = Array.length p.fifo / 3 in
+  if p.len = cap then begin
+    let fifo = Array.make (6 * cap) 0 in
+    for k = 0 to cap - 1 do
+      let j = (p.head + k) mod cap in
+      Array.blit p.fifo (3 * j) fifo (3 * k) 3
+    done;
+    p.fifo <- fifo;
+    p.head <- 0
+  end;
+  let cap = Array.length p.fifo / 3 in
+  let k = p.head + p.len in
+  let k = if k >= cap then k - cap else k in
+  t.event_seq <- t.event_seq + 1;
+  p.fifo.(3 * k) <- imax done_at t.now;
+  p.fifo.((3 * k) + 1) <- t.event_seq;
+  p.fifo.((3 * k) + 2) <- size;
+  p.len <- p.len + 1;
+  p.bytes <- p.bytes + size;
+  p.free_at <- done_at
 
 (* ------------------------------------------------------------------ *)
 
@@ -180,7 +275,7 @@ let wake_cpu t dst =
   if t.alive.(dst) && not t.cpu_scheduled.(dst) && t.parts.(dst).has_work ()
   then begin
     t.cpu_scheduled.(dst) <- true;
-    sched_cpu t (max t.now t.cpu_busy.(dst)) dst
+    sched_cpu t (imax t.now t.cpu_busy.(dst)) dst
   end
 
 (* Serialization delay of [size] bytes at a per-link rate. Identical
@@ -203,20 +298,21 @@ let port_enqueue t ~at_switch ~size ~src ~dst msg =
     t.stats.random_losses <- t.stats.random_losses + 1;
     if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "random"; size })
   end
-  else if t.port_bytes.(dst) + size > t.net.switch_port_buffer then begin
-    t.stats.switch_drops <- t.stats.switch_drops + 1;
-    if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "switch"; size })
-  end
   else begin
-    t.port_bytes.(dst) <- t.port_bytes.(dst) + size;
-    let tx = link_tx_ns t.down_bps.(dst) size in
-    let port_start = max at_switch t.port_free.(dst) in
-    let port_done = port_start + tx in
-    t.port_free.(dst) <- port_done;
-    sched_drain t port_done dst size;
-    sched_arrival t
-      (port_done + t.net.latency_ns + t.extra_latency ~src ~dst)
-      dst msg
+    let p = t.ports.(dst) in
+    port_retire t p;
+    if p.bytes + size > t.net.switch_port_buffer then begin
+      t.stats.switch_drops <- t.stats.switch_drops + 1;
+      if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "switch"; size })
+    end
+    else begin
+      let tx = link_tx_ns t.down_bps.(dst) size in
+      let port_done = imax at_switch p.free_at + tx in
+      port_accept t p ~done_at:port_done size;
+      sched_arrival t
+        (port_done + t.net.latency_ns + t.extra_latency ~src ~dst)
+        dst msg
+    end
   end
 
 (* Serialize [msg] out of [src]'s NIC no earlier than [at]; returns the
@@ -224,7 +320,7 @@ let port_enqueue t ~at_switch ~size ~src ~dst msg =
 let nic_serialize t ~at src size =
   t.stats.packets_sent <- t.stats.packets_sent + 1;
   let tx = link_tx_ns t.up_bps.(src) size in
-  let nic_start = max at t.nic_free.(src) in
+  let nic_start = imax at t.nic_free.(src) in
   let at_switch = nic_start + tx in
   t.nic_free.(src) <- at_switch;
   at_switch
@@ -315,12 +411,13 @@ let proc_cost t node msg =
   | Message.Token _ | Message.Commit _ -> tier.Profile.token_proc_ns
   | Message.Data d ->
       let wire_bytes =
-        Message.wire_size (Message.Data d) + tier.Profile.extra_data_header
+        Message.data_wire_size ~payload_len:(Bytes.length d.payload)
+        + tier.Profile.extra_data_header
       in
       Profile.data_proc_cost tier ~mtu:t.net.Profile.mtu ~wire_bytes
   | Message.Join _ -> tier.Profile.token_proc_ns
 
-let dispatch t kind node size msg timer fn =
+let dispatch t kind node msg timer fn =
   match kind with
   | Arrival ->
       if t.alive.(node) then begin
@@ -343,59 +440,78 @@ let dispatch t kind node size msg timer fn =
       if t.alive.(node) then begin
         let actions = t.parts.(node).fire_timer timer in
         if actions <> [] then begin
-          let cursor = max t.now t.cpu_busy.(node) + 500 in
+          let cursor = imax t.now t.cpu_busy.(node) + 500 in
           let busy = interpret t node actions ~cursor in
           t.cpu_busy.(node) <- busy
         end
       end
-  | Port_drain -> t.port_bytes.(node) <- t.port_bytes.(node) - size
   | Call -> fn ()
   | Free -> assert false
 
 (* Pop the minimum event, copy its fields out, recycle the slot, then
-   dispatch — handlers may schedule into (and reuse) the freed slot. *)
+   dispatch — handlers may schedule into (and reuse) the freed slot. The
+   last triple fills the root's hole. *)
 let step t =
-  let i = Heap.pop_exn t.events in
-  let e = (!(t.arena)).(i) in
-  t.now <- e.at;
-  let kind = e.kind and node = e.node and size = e.size in
-  let msg = e.msg and timer = e.timer and fn = e.fn in
-  e.kind <- Free;
-  e.msg <- dummy_msg;
-  e.timer <- No_timer;
-  e.fn <- ignore;
+  let q = t.q in
+  t.now <- q.(0);
+  t.cur_seq <- q.(1);
+  let i = q.(2) in
+  let n = t.q_len - 1 in
+  t.q_len <- n;
+  if n > 0 then begin
+    let at = q.(3 * n) and seq = q.((3 * n) + 1) in
+    let h = hole_down q n 0 at seq in
+    q.(3 * h) <- at;
+    q.((3 * h) + 1) <- seq;
+    q.((3 * h) + 2) <- q.((3 * n) + 2)
+  end;
+  let kind = t.kinds.(i) and node = t.nodes.(i) in
+  let msg = t.msgs.(i) and timer = t.timers.(i) and fn = t.fns.(i) in
+  (* Only the kind's own payload can hold a live value. *)
+  (match kind with
+  | Arrival -> t.msgs.(i) <- dummy_msg
+  | Timer -> t.timers.(i) <- No_timer
+  | Call -> t.fns.(i) <- ignore
+  | Cpu_run | Free -> ());
+  t.kinds.(i) <- Free;
   t.free_stack.(t.free_top) <- i;
   t.free_top <- t.free_top + 1;
-  dispatch t kind node size msg timer fn
+  dispatch t kind node msg timer fn
 
-let initial_arena = 256
+let initial_slots = 256
 
 let create ~net ~tiers ~participants ?(seed = 1L) () =
   let n = Array.length participants in
   if Array.length tiers <> n then
     invalid_arg "Netsim.create: tiers and participants must align";
-  let arena = ref (Array.init initial_arena (fun _ -> fresh_ev ())) in
-  let events =
-    Heap.create ~cmp:(fun i j ->
-        let a = (!arena).(i) and b = (!arena).(j) in
-        if a.at <> b.at then compare a.at b.at else compare a.seq b.seq)
-  in
-  Heap.reserve events initial_arena;
   let t =
     {
       net;
       tiers;
       parts = participants;
-      events;
-      arena;
-      free_stack = Array.init initial_arena (fun i -> i);
-      free_top = initial_arena;
+      q = Array.make (3 * initial_slots) 0;
+      q_len = 0;
+      kinds = Array.make initial_slots Free;
+      nodes = Array.make initial_slots (-1);
+      msgs = Array.make initial_slots dummy_msg;
+      timers = Array.make initial_slots No_timer;
+      fns = Array.make initial_slots ignore;
+      free_stack = Array.init initial_slots (fun i -> i);
+      free_top = initial_slots;
       event_seq = 0;
       now = 0;
+      cur_seq = 0;
       prng = Prng.create ~seed;
       nic_free = Array.make n 0;
-      port_free = Array.make n 0;
-      port_bytes = Array.make n 0;
+      ports =
+        Array.init n (fun _ ->
+            {
+              free_at = 0;
+              bytes = 0;
+              fifo = Array.make (3 * 16) 0;
+              head = 0;
+              len = 0;
+            });
       cpu_busy = Array.make n 0;
       cpu_scheduled = Array.make n false;
       alive = Array.make n true;
@@ -429,7 +545,7 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
 let submit_now t ~node service payload =
   if t.alive.(node) then begin
     let tier = t.tiers.(node) in
-    t.cpu_busy.(node) <- max t.now t.cpu_busy.(node) + tier.Profile.submit_ns;
+    t.cpu_busy.(node) <- imax t.now t.cpu_busy.(node) + tier.Profile.submit_ns;
     t.parts.(node).submit service payload;
     (* Some protocols (e.g. the sequencer baseline) emit work directly on
        submission rather than waiting for a token visit. *)
@@ -498,24 +614,7 @@ let record_metrics t reg =
   c "netsim.partition_drops" t.stats.partition_drops
 
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Heap.is_empty t.events))
-      && (!(t.arena)).(Heap.top_exn t.events).at <= horizon
-    then step t
-    else begin
-      continue := false;
-      t.now <- max t.now horizon
-    end
-  done
-
-let run_while_work t ~max_ns =
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Heap.is_empty t.events))
-      && (!(t.arena)).(Heap.top_exn t.events).at <= max_ns
-    then step t
-    else continue := false
-  done
+  while t.q_len > 0 && t.q.(0) <= horizon do
+    step t
+  done;
+  t.now <- imax t.now horizon

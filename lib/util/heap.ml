@@ -2,13 +2,9 @@ type 'a t = {
   cmp : 'a -> 'a -> int;
   mutable data : 'a array;
   mutable size : int;
-  mutable want_cap : int;
-      (* Capacity requested by [reserve] before any element existed; an
-         empty heap has no value to seed [Array.make] with, so the request
-         is honoured at the first push. *)
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0; want_cap = 0 }
+let create ~cmp = { cmp; data = [||]; size = 0 }
 
 let length h = h.size
 
@@ -47,18 +43,13 @@ let rec sift_down h i =
   end
 
 let push h x =
-  if h.size = 0 && Array.length h.data = 0 then
-    h.data <- Array.make (max 16 h.want_cap) x
+  if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 x
   else ensure_capacity h;
   h.data.(h.size) <- x;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
-
-let top_exn h =
-  if h.size = 0 then invalid_arg "Heap.top_exn: empty heap";
-  h.data.(0)
 
 let pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
@@ -71,15 +62,6 @@ let pop_exn h =
   root
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-
-let reserve h n =
-  if n > Array.length h.data then
-    if Array.length h.data = 0 then h.want_cap <- max h.want_cap n
-    else begin
-      let data = Array.make n h.data.(0) in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end
 
 let clear h = h.size <- 0
 

@@ -1,8 +1,8 @@
 (** Imperative binary min-heap with user-supplied priority function.
 
-    Used as the event queue of the discrete-event simulator and for small
-    priority scheduling tasks. All operations are O(log n) except
-    {!val:peek}, {!val:length}, {!val:is_empty} which are O(1). *)
+    Used for small priority scheduling tasks, such as the UDP runtime's
+    timers. All operations are O(log n) except {!val:peek},
+    {!val:length}, {!val:is_empty} which are O(1). *)
 
 type 'a t
 (** A min-heap of ['a] values. *)
@@ -22,23 +22,12 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** [peek h] is the minimum element of [h] without removing it. *)
 
-val top_exn : 'a t -> 'a
-(** [top_exn h] is the minimum element of [h] without removing it — the
-    non-allocating {!val:peek} ([Some] boxes) for hot loops.
-    @raise Invalid_argument if [h] is empty. *)
-
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element of [h]. *)
 
 val pop_exn : 'a t -> 'a
 (** [pop_exn h] removes and returns the minimum element without boxing an
     option. @raise Invalid_argument if [h] is empty. *)
-
-val reserve : 'a t -> int -> unit
-(** [reserve h n] grows the backing array to hold at least [n] elements so
-    subsequent pushes up to [n] never resize. On a heap that has never
-    held an element the request is remembered and applied at the first
-    push (there is no value to seed the array with yet). Never shrinks. *)
 
 val clear : 'a t -> unit
 (** [clear h] removes every element from [h]. *)

@@ -173,15 +173,36 @@ let test_drop_until_auto_heals () =
       (List.length (delivery_list c i))
   done
 
+(* FNV-1a over every delivery callback, in callback order: receiving
+   node, virtual time, sender and sequence number. *)
+let hash_deliveries c =
+  let h = ref 0xCBF29CE484222325L in
+  let mix v =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L
+  in
+  Netsim.on_deliver c.sim (fun ~at ~now (d : Message.data) ->
+      c.delivered.(at) := (d.pid, d.seq) :: !(c.delivered.(at));
+      mix at;
+      mix now;
+      mix d.pid;
+      mix d.seq);
+  h
+
 let test_tiny_switch_buffer_drops_and_recovers () =
   let net = { Profile.gigabit with switch_port_buffer = 16 * 1024 } in
   let c = make_cluster ~n:8 ~net () in
+  let hash = hash_deliveries c in
   (* An instantaneous burst: every pending queue fills at t=0, so adjacent
      senders' post-token overlap floods the switch ports. *)
   submit_burst ~spacing_ns:0 c ~per_node:150 ~payload_len:1342;
   Netsim.run_until c.sim (ms 2000);
   check Alcotest.bool "switch dropped packets" true
     ((Netsim.stats c.sim).switch_drops > 0);
+  (* Exact pins: a change to when a port releases its bytes, or to the
+     order of events, moves these. *)
+  check Alcotest.int "switch drops pinned" 22921 (Netsim.stats c.sim).switch_drops;
+  check Alcotest.string "delivery stream hash pinned" "ba1f525538f6cb85"
+    (Printf.sprintf "%016Lx" !hash);
   (* Retransmissions heal the overflow loss. *)
   for i = 0 to 7 do
     check Alcotest.int
@@ -191,6 +212,98 @@ let test_tiny_switch_buffer_drops_and_recovers () =
   done
 
 
+
+(* A switch port releases a packet's bytes at the instant the packet
+   leaves, ordered like an event scheduled when the packet was accepted:
+   an event at that very instant sees the bytes released only if it was
+   scheduled after the packet. Node 0 sends one packet into a port that
+   holds exactly one, and a timer sends a second at [offset] ns from the
+   instant the first leaves the port; returns the switch drops. *)
+type Participant.timer += Send_again
+
+let port_tie_drops ~arm_first ~offset =
+  let msg =
+    Message.Join { j_pid = 0; proc_set = []; fail_set = []; join_seq = 0 }
+  in
+  let size = Message.wire_size msg in
+  let net = { Profile.gigabit with switch_port_buffer = size } in
+  let tier = Profile.library in
+  (* One serialization out of the NIC, one out of the switch port. *)
+  let leaves = tier.send_op_ns + (2 * Profile.tx_ns net size) in
+  let send = Participant.Unicast (1, msg) in
+  let start =
+    if arm_first then [ Participant.Arm_timer (Send_again, leaves + offset); send ]
+    else [ send; Participant.Arm_timer (Send_again, leaves + offset - tier.send_op_ns) ]
+  in
+  let participant pid ~start ~fire : Participant.t =
+    {
+      pid;
+      submit = (fun _ _ -> ());
+      receive = (fun _ -> `Queued);
+      has_work = (fun () -> false);
+      take_next = (fun () -> None);
+      process = (fun _ -> []);
+      fire_timer = (fun _ -> fire);
+      start = (fun () -> start);
+    }
+  in
+  let sim =
+    Netsim.create ~net ~tiers:[| tier; tier |]
+      ~participants:
+        [| participant 0 ~start ~fire:[ send ]; participant 1 ~start:[] ~fire:[] |]
+      ()
+  in
+  Netsim.run_until sim (ms 1);
+  (Netsim.stats sim).switch_drops
+
+let test_port_release_tie () =
+  check Alcotest.int "timer scheduled first: port still full" 1
+    (port_tie_drops ~arm_first:true ~offset:0);
+  check Alcotest.int "timer scheduled second: port already free" 0
+    (port_tie_drops ~arm_first:false ~offset:0);
+  check Alcotest.int "1 ns later: free" 0 (port_tie_drops ~arm_first:true ~offset:1);
+  check Alcotest.int "1 ns earlier: full" 1
+    (port_tie_drops ~arm_first:false ~offset:(-1))
+
+(* Every [call_at] callback runs at max(at, now when scheduled), ties
+   broken by scheduling order, so the execution order is a stable sort of
+   the schedule records by clamped time. The draw has many exact ties,
+   times in the past, callbacks that schedule callbacks, and well over the
+   queue's initial 256 slots pending at once. *)
+let prop_call_order =
+  let batch lo hi =
+    QCheck.(list_of_size Gen.(int_range lo hi) (pair (int_bound 40) (int_bound 3)))
+  in
+  QCheck.Test.make ~name:"call_at runs in (clamped time, insertion) order"
+    ~count:100 (QCheck.pair (batch 100 700) (batch 0 100))
+    (fun (first, second) ->
+      let sim =
+        Netsim.create ~net:Profile.gigabit ~tiers:[||] ~participants:[||] ()
+      in
+      let scheduled = ref 0 in
+      let ran = ref [] in (* (clamped at, insertion, now when run) *)
+      let rec schedule at kids =
+        let ins = !scheduled in
+        incr scheduled;
+        let clamped = max at (Netsim.now sim) in
+        Netsim.call_at sim ~at (fun () ->
+            let now = Netsim.now sim in
+            ran := (clamped, ins, now) :: !ran;
+            (* Children land up to 2 µs in the past or the future. *)
+            for k = 1 to kids do
+              schedule (now + ((((ins + k) mod 5) - 2) * 1_000)) (kids - 1)
+            done)
+      in
+      List.iter (fun (t, kids) -> schedule (t * 1_000) kids) first;
+      Netsim.run_until sim 20_000;
+      (* Half of this batch is due before now and must be clamped. *)
+      List.iter (fun (t, kids) -> schedule (t * 1_000) kids) second;
+      Netsim.run_until sim max_int;
+      let ran = List.rev !ran in
+      let keys = List.map (fun (at, ins, _) -> (at, ins)) ran in
+      List.length ran = !scheduled
+      && List.for_all (fun (at, _, now) -> at = now) ran
+      && keys = List.stable_sort compare keys)
 
 (* -------------------------------------------------------------------- *)
 (* Causality: the total order respects potential causality. If a node
@@ -500,6 +613,8 @@ let suite =
     ("switch overflow drops and recovers", `Slow,
       test_tiny_switch_buffer_drops_and_recovers);
     ("total order respects causality", `Quick, test_total_order_respects_causality);
+    ("port release ties like an event", `Quick, test_port_release_tie);
+    QCheck_alcotest.to_alcotest prop_call_order;
     ("profile tx_ns", `Quick, test_profile_tx_ns);
     ("profile fragment cost", `Quick, test_profile_frag_cost);
     ("profile modifiers", `Quick, test_profile_modifiers);

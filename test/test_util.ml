@@ -73,34 +73,6 @@ let prop_heap_interleaved =
             | None, _ :: _ | Some _, [] -> false)
         ops)
 
-let test_heap_top_exn () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "top_exn on empty"
-    (Invalid_argument "Heap.top_exn: empty heap") (fun () ->
-      ignore (Heap.top_exn h));
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  check Alcotest.int "top is min" 2 (Heap.top_exn h);
-  check Alcotest.int "top removes nothing" 3 (Heap.length h);
-  check Alcotest.int "pop agrees with top" 2 (Heap.pop_exn h)
-
-let test_heap_reserve () =
-  (* On a heap that never held an element the request is deferred to the
-     first push; either way pushes up to the reservation must succeed. *)
-  let h = Heap.create ~cmp:compare in
-  Heap.reserve h 100;
-  for i = 100 downto 1 do
-    Heap.push h i
-  done;
-  check Alcotest.int "all pushed" 100 (Heap.length h);
-  check Alcotest.int "min" 1 (Heap.top_exn h);
-  (* Reserving over a populated heap preserves contents and order. *)
-  let h2 = Heap.create ~cmp:compare in
-  List.iter (Heap.push h2) [ 5; 3; 8 ];
-  Heap.reserve h2 64;
-  check Alcotest.int "pop 3" 3 (Heap.pop_exn h2);
-  check Alcotest.int "pop 5" 5 (Heap.pop_exn h2);
-  check Alcotest.int "pop 8" 8 (Heap.pop_exn h2)
-
 let test_heap_growth_duplicates () =
   (* Push far past the 16-slot seed array, with heavy duplication, and
      check the drain is exactly the sorted multiset. *)
@@ -518,8 +490,6 @@ let suite =
     ("heap basic", `Quick, test_heap_basic);
     ("heap clear", `Quick, test_heap_clear);
     ("heap pop_exn empty", `Quick, test_heap_pop_exn_empty);
-    ("heap top_exn", `Quick, test_heap_top_exn);
-    ("heap reserve", `Quick, test_heap_reserve);
     ("heap growth with duplicates", `Quick, test_heap_growth_duplicates);
     qtest prop_heap_sorts;
     qtest prop_heap_interleaved;
