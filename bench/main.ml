@@ -707,6 +707,27 @@ let budget_bool b key =
   | Some (Json.Bool v) -> v
   | _ -> budget_error b.budget_path "missing or non-boolean key %S" key
 
+(* Every suite's gate: write [doc] to [file], print a BUDGET FAIL line
+   for each failing [(ok, message)] check, in order, then run [on_fail]
+   and exit 1 if any check failed. *)
+let gate ?(on_fail = ignore) ~file doc checks =
+  let oc = open_out file in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n%!" file;
+  let failed = List.filter (fun (ok, _) -> not ok) checks in
+  List.iter (fun (_, msg) -> Printf.printf "BUDGET FAIL: %s\n%!" msg) failed;
+  if failed <> [] then begin
+    on_fail ();
+    exit 1
+  end
+
+(* Post-mortem for the CI artifact, mirroring the fuzz steps. *)
+let flight_dump file () =
+  Aring_obs.Flight.dump_jsonl_file file;
+  Printf.printf "flight dump written to %s\n%!" file
+
 (* Allocated bytes per call of [f], measured with [Gc.allocated_bytes]
    (precise: counts minor allocations, independent of GC timing). *)
 let alloc_per_call ~iters f =
@@ -835,8 +856,16 @@ let hotpath () =
   in
   let max_alloc = budget_float budget "max_pipeline_alloc_bytes_per_msg" in
   let min_reduction = budget_float budget "min_codec_reduction_percent" in
-  let alloc_ok = alloc_per_msg <= max_alloc in
-  let reduction_ok = codec_reduction >= min_reduction in
+  let checks =
+    [
+      ( alloc_per_msg <= max_alloc,
+        Printf.sprintf "%.1f allocated bytes/msg exceeds budget %.1f"
+          alloc_per_msg max_alloc );
+      ( codec_reduction >= min_reduction,
+        Printf.sprintf "codec reduction %.1f%% below required %.1f%%"
+          codec_reduction min_reduction );
+    ]
+  in
   let doc =
     Json.Obj
       [
@@ -877,24 +906,11 @@ let hotpath () =
             [
               ("max_pipeline_alloc_bytes_per_msg", Json.Float max_alloc);
               ("min_codec_reduction_percent", Json.Float min_reduction);
-              ("pass", Json.Bool (alloc_ok && reduction_ok));
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_hotpath.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_hotpath.json\n%!";
-  if not alloc_ok then
-    Printf.printf
-      "BUDGET FAIL: %.1f allocated bytes/msg exceeds budget %.1f\n%!"
-      alloc_per_msg max_alloc;
-  if not reduction_ok then
-    Printf.printf
-      "BUDGET FAIL: codec reduction %.1f%% below required %.1f%%\n%!"
-      codec_reduction min_reduction;
-  if not (alloc_ok && reduction_ok) then exit 1
+  gate ~file:"BENCH_hotpath.json" doc checks
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive accelerated-window sweep (`-- adaptive [quick]`)            *)
@@ -1028,12 +1044,16 @@ let adaptive () =
   in
   let max_ratio = budget_float budget "max_ratio_vs_best_static" in
   let beats_worst_req = budget_bool budget "require_beats_worst_static" in
-  let ratio_ok =
-    List.for_all (fun (_, _, _, _, _, ratio) -> ratio <= max_ratio) phase_stats
-  in
-  let worst_ok =
-    (not beats_worst_req)
-    || List.for_all (fun (_, _, a, _, (_, worst), _) -> a < worst) phase_stats
+  let checks =
+    [
+      ( List.for_all (fun (_, _, _, _, _, ratio) -> ratio <= max_ratio) phase_stats,
+        Printf.sprintf
+          "adaptive/best-static latency ratio exceeds %.2f in some phase"
+          max_ratio );
+      ( (not beats_worst_req)
+        || List.for_all (fun (_, _, a, _, (_, worst), _) -> a < worst) phase_stats,
+        "adaptive does not beat the worst static window in every phase" );
+    ]
   in
   let json_score s = if Float.is_finite s then Json.Float s else Json.Null in
   let phase_json (i, (p : Scenario.phase), a, (best_aw, best), (worst_aw, worst), ratio) =
@@ -1115,23 +1135,11 @@ let adaptive () =
             [
               ("max_ratio_vs_best_static", Json.Float max_ratio);
               ("require_beats_worst_static", Json.Bool beats_worst_req);
-              ("pass", Json.Bool (ratio_ok && worst_ok));
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_adaptive.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_adaptive.json\n%!";
-  if not ratio_ok then
-    Printf.printf
-      "BUDGET FAIL: adaptive/best-static latency ratio exceeds %.2f in some phase\n%!"
-      max_ratio;
-  if not worst_ok then
-    Printf.printf
-      "BUDGET FAIL: adaptive does not beat the worst static window in every phase\n%!";
-  if not (ratio_ok && worst_ok) then exit 1
+  gate ~file:"BENCH_adaptive.json" doc checks
 
 (* ------------------------------------------------------------------ *)
 (* Replicated KV store benchmark (`-- kv [quick]`)                      *)
@@ -1142,41 +1150,108 @@ let adaptive () =
 (* re-converge is a hard failure regardless of the budget file.         *)
 (* Emits BENCH_kv.json, gated by bench/kv_budget.json.                  *)
 
-module Kv_scenario = Aring_app.Kv_scenario
+module Load = Aring_multiring.Load
+
+let applied_ratio (r : Load.result) =
+  if r.Load.writes_offered = 0 then 0.0
+  else float_of_int r.Load.writes_applied /. float_of_int r.Load.writes_offered
+
+(* The one JSON shape of a [Load.result] in the kv and load suites.
+   [latency_stages] decomposes the write latency into token ordering,
+   delivery and replica apply, from the run's span histograms. *)
+let load_run_json label (r : Load.result) =
+  let p99 s = Stats.percentile s 99.0 in
+  let stage (s : Aring_obs.Span.stage_report) =
+    Json.Obj
+      [
+        ("stage", Json.String s.Aring_obs.Span.stage);
+        ("count", Json.Int s.Aring_obs.Span.count);
+        ("p50_us", Json.Float s.Aring_obs.Span.p50_us);
+        ("p99_us", Json.Float s.Aring_obs.Span.p99_us);
+        ("p999_us", Json.Float s.Aring_obs.Span.p999_us);
+      ]
+  in
+  ( label,
+    Json.Obj
+      [
+        ("sessions_started", Json.Int r.Load.sessions_started);
+        ("sessions_peak", Json.Int r.Load.sessions_peak);
+        ("reconnects", Json.Int r.Load.reconnects);
+        ("ops_offered", Json.Int r.Load.ops_offered);
+        ("ops_skipped", Json.Int r.Load.ops_skipped);
+        ("writes_offered", Json.Int r.Load.writes_offered);
+        ("writes_applied", Json.Int r.Load.writes_applied);
+        ("offered_write_rate", Json.Float r.Load.offered_write_rate);
+        ("applied_write_rate", Json.Float r.Load.applied_write_rate);
+        ("applied_offered_ratio", Json.Float (applied_ratio r));
+        ("write_p50_us", Json.Float (Stats.median r.Load.write_latency_us));
+        ("write_p99_us", Json.Float (p99 r.Load.write_latency_us));
+        ("write_p999_us", Json.Float (Stats.p999 r.Load.write_latency_us));
+        ("sync_read_p50_us", Json.Float (Stats.median r.Load.sync_read_latency_us));
+        ("sync_read_p99_us", Json.Float (p99 r.Load.sync_read_latency_us));
+        ("queue_depth_peak", Json.Int r.Load.queue_depth_peak);
+        ("queue_depth_end", Json.Int r.Load.queue_depth_end);
+        ("slow_inbox_peak", Json.Int r.Load.slow_inbox_peak);
+        ("storm_steady_rate", Json.Float r.Load.storm_steady_rate);
+        ("storm_rate", Json.Float r.Load.storm_rate);
+        ("storm_degradation", Json.Float r.Load.storm_degradation);
+        ("storm_recovered_ms", Json.Float r.Load.storm_recovered_ms);
+        ("storm_all_reconnected", Json.Bool r.Load.storm_all_reconnected);
+        ("installs", Json.Int r.Load.installs);
+        ("oracle_violations", Json.Int r.Load.oracle_violations);
+        ("converged", Json.Bool r.Load.converged);
+        ( "latency_stages",
+          Json.List
+            (List.map stage (Aring_obs.Span.report_of_metrics r.Load.metrics))
+        );
+      ] )
+
+let correctness_ok (r : Load.result) =
+  r.Load.oracle_violations = 0 && r.Load.converged
 
 let bench_kv () =
   Printf.printf "=== Replicated KV store benchmark%s ===\n%!"
     (if quick then " [QUICK MODE]" else "");
-  let measure_ns = if quick then ms 150 else ms 400 in
+  (* One periodic session per daemon on one ring: the replicated
+     store's throughput and latency, not the session tables'. *)
+  let value_bytes = 128 in
+  let spec =
+    {
+      Load.default_spec with
+      sessions_per_node = 1;
+      n_groups = 1;
+      arrival = Load.Periodic;
+      ops_per_sec = 20_000.0;
+      key_space = 64;
+      value_mix = [ (value_bytes, 1) ];
+      warmup_ns = ms 50;
+      seed = 11L;
+    }
+  in
   let steady =
-    Kv_scenario.run
+    Load.run
       {
-        Kv_scenario.default_spec with
+        spec with
         label = "kv-steady";
-        measure_ns;
+        measure_ns = (if quick then ms 150 else ms 400);
       }
   in
   let partitioned =
-    Kv_scenario.run
+    Load.run
       {
-        Kv_scenario.default_spec with
+        spec with
         label = "kv-partition";
         measure_ns = (if quick then ms 200 else ms 400);
         partition =
           Some
             {
-              Kv_scenario.part_at_ns = ms 60;
+              Load.part_at_ns = ms 60;
               heal_at_ns = ms (if quick then 140 else 220);
-              island = [ Kv_scenario.default_spec.Kv_scenario.n_nodes - 1 ];
+              island = [ spec.Load.n_nodes - 1 ];
             };
       }
   in
-  let correctness_ok r =
-    r.Kv_scenario.oracle_violations = 0 && r.Kv_scenario.converged
-  in
-  let pp_run r =
-    Printf.printf "%s\n%!" (Format.asprintf "%a" Kv_scenario.pp_result r)
-  in
+  let pp_run r = Printf.printf "%s\n%!" (Format.asprintf "%a" Load.pp_result r) in
   pp_run steady;
   pp_run partitioned;
   (* State-transfer cost vs store size. *)
@@ -1186,56 +1261,12 @@ let bench_kv () =
   let sweep =
     List.map
       (fun entries ->
-        let t = Kv_scenario.measure_transfer ~store_entries:entries () in
+        let t = Load.measure_transfer ~store_entries:entries in
         Printf.printf
           "  transfer: %6d entries  %8d bytes  %9.0f us to re-sync\n%!"
-          t.Kv_scenario.entries_transferred t.Kv_scenario.bytes_transferred
-          t.Kv_scenario.xfer_us;
+          t.Load.entries_transferred t.Load.bytes_transferred t.Load.xfer_us;
         (entries, t))
       sweep_sizes
-  in
-  let p50 s = Stats.median s
-  and p99 s = Stats.percentile s 99.0
-  and p999 s = Stats.percentile s 99.9 in
-  (* Per-stage latency decomposition from the run's span histograms:
-     where the write p50 goes between token ordering, delivery and
-     replica apply. *)
-  let stages_json (r : Kv_scenario.result) =
-    Json.List
-      (List.map
-         (fun (s : Aring_obs.Span.stage_report) ->
-           Json.Obj
-             [
-               ("stage", Json.String s.Aring_obs.Span.stage);
-               ("count", Json.Int s.Aring_obs.Span.count);
-               ("p50_us", Json.Float s.Aring_obs.Span.p50_us);
-               ("p99_us", Json.Float s.Aring_obs.Span.p99_us);
-               ("p999_us", Json.Float s.Aring_obs.Span.p999_us);
-             ])
-         (Aring_obs.Span.report_of_metrics r.Kv_scenario.metrics))
-  in
-  let run_json label (r : Kv_scenario.result) =
-    ( label,
-      Json.Obj
-        [
-          ("writes_submitted", Json.Int r.Kv_scenario.writes_submitted);
-          ("writes_applied", Json.Int r.Kv_scenario.writes_applied);
-          ("write_ops_per_sec", Json.Float r.Kv_scenario.write_ops_per_sec);
-          ("write_p50_us", Json.Float (p50 r.Kv_scenario.write_latency_us));
-          ("write_p99_us", Json.Float (p99 r.Kv_scenario.write_latency_us));
-          ("write_p999_us", Json.Float (p999 r.Kv_scenario.write_latency_us));
-          ( "sync_read_p50_us",
-            Json.Float (p50 r.Kv_scenario.sync_read_latency_us) );
-          ( "sync_read_p99_us",
-            Json.Float (p99 r.Kv_scenario.sync_read_latency_us) );
-          ( "sync_read_p999_us",
-            Json.Float (p999 r.Kv_scenario.sync_read_latency_us) );
-          ("local_reads", Json.Int r.Kv_scenario.reads);
-          ("installs", Json.Int r.Kv_scenario.installs);
-          ("oracle_violations", Json.Int r.Kv_scenario.oracle_violations);
-          ("converged", Json.Bool r.Kv_scenario.converged);
-          ("latency_stages", stages_json r);
-        ] )
   in
   (* Committed budget gate. *)
   let budget =
@@ -1252,39 +1283,49 @@ let bench_kv () =
   let max_p50 = bound "max_steady_write_p50_us" in
   let max_sync_p50 = bound "max_steady_sync_read_p50_us" in
   let max_xfer_per_entry = bound "max_transfer_us_per_entry" in
-  let ops_ok = steady.Kv_scenario.write_ops_per_sec >= min_ops in
-  let p50_ok = p50 steady.Kv_scenario.write_latency_us <= max_p50 in
-  let sync_ok =
-    p50 steady.Kv_scenario.sync_read_latency_us <= max_sync_p50
-  in
+  let write_p50 = Stats.median steady.Load.write_latency_us in
+  let sync_p50 = Stats.median steady.Load.sync_read_latency_us in
   (* Amortized transfer cost, judged at the largest sweep point (fixed
      per-transfer overhead dominates the small ones). *)
   let last_entries, last_t = List.nth sweep (List.length sweep - 1) in
   let xfer_per_entry =
-    last_t.Kv_scenario.xfer_us /. float_of_int (max 1 last_entries)
+    last_t.Load.xfer_us /. float_of_int (max 1 last_entries)
   in
-  let xfer_ok = xfer_per_entry <= max_xfer_per_entry in
-  let consistent = correctness_ok steady && correctness_ok partitioned in
-  let budget_pass = ops_ok && p50_ok && sync_ok && xfer_ok && consistent in
+  let checks =
+    [
+      ( correctness_ok steady && correctness_ok partitioned,
+        "consistency oracle violated or replicas failed to converge" );
+      ( steady.Load.applied_write_rate >= min_ops,
+        Printf.sprintf "%.0f write ops/s below required %.0f"
+          steady.Load.applied_write_rate min_ops );
+      ( write_p50 <= max_p50,
+        Printf.sprintf "write p50 %.0f us above budget %.0f" write_p50 max_p50 );
+      ( sync_p50 <= max_sync_p50,
+        Printf.sprintf "sync-read p50 %.0f us above budget %.0f" sync_p50
+          max_sync_p50 );
+      ( xfer_per_entry <= max_xfer_per_entry,
+        Printf.sprintf "transfer %.2f us/entry above budget %.2f" xfer_per_entry
+          max_xfer_per_entry );
+    ]
+  in
   let doc =
     Json.Obj
       [
-        ("schema", Json.String "aring.bench.kv/1");
+        ("schema", Json.String "aring.bench.kv/2");
         ("mode", Json.String (if quick then "quick" else "full"));
         ( "workload",
           Json.Obj
             [
-              ("nodes", Json.Int Kv_scenario.default_spec.Kv_scenario.n_nodes);
+              ("nodes", Json.Int spec.Load.n_nodes);
               ("net", Json.String "1g");
-              ( "ops_per_sec_offered",
-                Json.Float Kv_scenario.default_spec.Kv_scenario.ops_per_sec );
-              ( "value_bytes",
-                Json.Int Kv_scenario.default_spec.Kv_scenario.value_bytes );
-              ( "key_space",
-                Json.Int Kv_scenario.default_spec.Kv_scenario.key_space );
+              ("sessions_per_node", Json.Int spec.Load.sessions_per_node);
+              ("ops_per_sec_offered", Json.Float spec.Load.ops_per_sec);
+              ("value_bytes", Json.Int value_bytes);
+              ("key_space", Json.Int spec.Load.key_space);
+              ("zipf_theta", Json.Float spec.Load.zipf_theta);
             ] );
-        run_json "steady" steady;
-        run_json "partitioned" partitioned;
+        load_run_json "steady" steady;
+        load_run_json "partitioned" partitioned;
         ( "transfer_sweep",
           Json.List
             (List.map
@@ -1292,12 +1333,10 @@ let bench_kv () =
                  Json.Obj
                    [
                      ("store_entries", Json.Int entries);
-                     ( "entries_transferred",
-                       Json.Int t.Kv_scenario.entries_transferred );
-                     ( "bytes_transferred",
-                       Json.Int t.Kv_scenario.bytes_transferred );
-                     ("xfer_us", Json.Float t.Kv_scenario.xfer_us);
-                     ("total_installs", Json.Int t.Kv_scenario.total_installs);
+                     ("entries_transferred", Json.Int t.Load.entries_transferred);
+                     ("bytes_transferred", Json.Int t.Load.bytes_transferred);
+                     ("xfer_us", Json.Float t.Load.xfer_us);
+                     ("total_installs", Json.Int t.Load.total_installs);
                    ])
                sweep) );
         ( "budget",
@@ -1308,36 +1347,11 @@ let bench_kv () =
               ("max_steady_sync_read_p50_us", Json.Float max_sync_p50);
               ("max_transfer_us_per_entry", Json.Float max_xfer_per_entry);
               ("transfer_us_per_entry", Json.Float xfer_per_entry);
-              ("pass", Json.Bool budget_pass);
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_kv.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_kv.json\n%!";
-  if not consistent then
-    Printf.printf
-      "BUDGET FAIL: consistency oracle violated or replicas failed to \
-       converge\n\
-       %!";
-  if not ops_ok then
-    Printf.printf "BUDGET FAIL: %.0f write ops/s below required %.0f\n%!"
-      steady.Kv_scenario.write_ops_per_sec min_ops;
-  if not p50_ok then
-    Printf.printf "BUDGET FAIL: write p50 %.0f us above budget %.0f\n%!"
-      (p50 steady.Kv_scenario.write_latency_us)
-      max_p50;
-  if not sync_ok then
-    Printf.printf "BUDGET FAIL: sync-read p50 %.0f us above budget %.0f\n%!"
-      (p50 steady.Kv_scenario.sync_read_latency_us)
-      max_sync_p50;
-  if not xfer_ok then
-    Printf.printf
-      "BUDGET FAIL: transfer %.2f us/entry above budget %.2f\n%!"
-      xfer_per_entry max_xfer_per_entry;
-  if not budget_pass then exit 1
+  gate ~file:"BENCH_kv.json" doc checks
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead benchmark (`-- obs [quick]`)                  *)
@@ -1415,13 +1429,23 @@ let bench_obs () =
   let max_flight_alloc = bound "max_flight_alloc_bytes_per_event" in
   let max_disabled_ns = bound "max_disabled_ns_per_event" in
   let max_detached_ns = bound "max_detached_hook_ns" in
-  let flight_ns_ok = flight_ns <= max_flight_ns in
-  let flight_alloc_ok = flight_alloc <= max_flight_alloc in
-  let disabled_ok = disabled_ns <= max_disabled_ns in
-  let detached_ok =
-    span_ns <= max_detached_ns && health_ns <= max_detached_ns
+  let checks =
+    [
+      ( flight_ns <= max_flight_ns,
+        Printf.sprintf "flight %.1f ns/event above budget %.1f" flight_ns
+          max_flight_ns );
+      ( flight_alloc <= max_flight_alloc,
+        Printf.sprintf "flight %.2f allocated bytes/event above budget %.2f"
+          flight_alloc max_flight_alloc );
+      ( disabled_ns <= max_disabled_ns,
+        Printf.sprintf "disabled recorder %.1f ns/event above budget %.1f"
+          disabled_ns max_disabled_ns );
+      ( span_ns <= max_detached_ns && health_ns <= max_detached_ns,
+        Printf.sprintf
+          "detached hook cost (span %.1f / health %.1f ns) above budget %.1f"
+          span_ns health_ns max_detached_ns );
+    ]
   in
-  let pass = flight_ns_ok && flight_alloc_ok && disabled_ok && detached_ok in
   let doc =
     Json.Obj
       [
@@ -1452,37 +1476,11 @@ let bench_obs () =
               ("max_flight_alloc_bytes_per_event", Json.Float max_flight_alloc);
               ("max_disabled_ns_per_event", Json.Float max_disabled_ns);
               ("max_detached_hook_ns", Json.Float max_detached_ns);
-              ("pass", Json.Bool pass);
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_obs.json\n%!";
-  if not flight_ns_ok then
-    Printf.printf "BUDGET FAIL: flight %.1f ns/event above budget %.1f\n%!"
-      flight_ns
-      max_flight_ns;
-  if not flight_alloc_ok then
-    Printf.printf
-      "BUDGET FAIL: flight %.2f allocated bytes/event above budget %.2f\n%!"
-      flight_alloc
-      max_flight_alloc;
-  if not disabled_ok then
-    Printf.printf
-      "BUDGET FAIL: disabled recorder %.1f ns/event above budget %.1f\n%!"
-      disabled_ns
-      max_disabled_ns;
-  if not detached_ok then
-    Printf.printf
-      "BUDGET FAIL: detached hook cost (span %.1f / health %.1f ns) above \
-       budget %.1f\n\
-       %!"
-      span_ns health_ns
-      max_detached_ns;
-  if not pass then exit 1
+  gate ~file:"BENCH_obs.json" doc checks
 
 (* ==================================================================== *)
 (* Recovery-exchange scaling: one member of a bootstrapped N-ring       *)
@@ -1633,12 +1631,19 @@ let bench_recovery () =
     List.fold_left (fun a r -> max a r.rr_attempts) 0 rows
   in
   let largest = List.nth rows (List.length rows - 1) in
-  let reform_ok = worst_reform <= max_reform in
-  let attempts_ok = float_of_int worst_attempts <= max_attempts in
-  let ratio_ok =
-    largest.rr_dedup_ratio >= min_ratio
+  let checks =
+    [
+      ( worst_reform <= max_reform,
+        Printf.sprintf "worst reform %.1f ms above budget %.1f" worst_reform
+          max_reform );
+      ( float_of_int worst_attempts <= max_attempts,
+        Printf.sprintf "%d formation attempts above budget %.0f" worst_attempts
+          max_attempts );
+      ( largest.rr_dedup_ratio >= min_ratio,
+        Printf.sprintf "dedup savings ratio %.2f at %d nodes below budget %.2f"
+          largest.rr_dedup_ratio largest.rr_nodes min_ratio );
+    ]
   in
-  let pass = reform_ok && attempts_ok && ratio_ok in
   let doc =
     Json.Obj
       [
@@ -1667,26 +1672,11 @@ let bench_recovery () =
               ("max_reform_ms", Json.Float max_reform);
               ("max_formation_attempts", Json.Float max_attempts);
               ("min_dedup_savings_ratio_largest", Json.Float min_ratio);
-              ("pass", Json.Bool pass);
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_recovery.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_recovery.json\n%!";
-  if not reform_ok then
-    Printf.printf "BUDGET FAIL: worst reform %.1f ms above budget %.1f\n%!"
-      worst_reform max_reform;
-  if not attempts_ok then
-    Printf.printf "BUDGET FAIL: %d formation attempts above budget %.0f\n%!"
-      worst_attempts max_attempts;
-  if not ratio_ok then
-    Printf.printf
-      "BUDGET FAIL: dedup savings ratio %.2f at %d nodes below budget %.2f\n%!"
-      largest.rr_dedup_ratio largest.rr_nodes min_ratio;
-  if not pass then exit 1
+  gate ~file:"BENCH_recovery.json" doc checks
 
 (* ------------------------------------------------------------------ *)
 (* Production workload benchmark (`-- load [quick]`)                    *)
@@ -1697,8 +1687,6 @@ let bench_recovery () =
 (* storm run gates applied-rate degradation and post-storm recovery.    *)
 (* Emits BENCH_load.json, gated by bench/load_budget.json. On a budget  *)
 (* failure the flight recorder's tail is dumped for the CI artifact.    *)
-
-module Load = Aring_multiring.Load
 
 let bench_load () =
   Printf.printf "=== Production workload benchmark%s ===\n%!"
@@ -1737,14 +1725,7 @@ let bench_load () =
   let pp_run r = Printf.printf "%s\n%!" (Format.asprintf "%a" Load.pp_result r) in
   pp_run steady;
   pp_run storm;
-  let correctness_ok (r : Load.result) =
-    r.Load.oracle_violations = 0 && r.Load.converged
-  in
   let p99 s = Stats.percentile s 99.0 in
-  let applied_ratio (r : Load.result) =
-    if r.Load.writes_offered = 0 then 0.0
-    else float_of_int r.Load.writes_applied /. float_of_int r.Load.writes_offered
-  in
   (* Committed budget gate. *)
   let budget =
     load_budget "bench/load_budget.json"
@@ -1764,56 +1745,42 @@ let bench_load () =
   let min_ratio = bound "min_applied_offered_ratio" in
   let max_degradation = bound "max_storm_degradation" in
   let max_recovery = bound "max_storm_recovery_ms" in
-  let sessions_ok =
-    float_of_int steady.Load.sessions_peak >= min_sessions
-    && float_of_int storm.Load.sessions_peak >= min_sessions
-    (* The 2000-session floor is unconditional, whatever the budget
-       file says. *)
-    && steady.Load.sessions_peak >= 2000
-  in
-  let p99_ok = p99 steady.Load.write_latency_us <= max_p99 in
-  let p999_ok = Stats.p999 steady.Load.write_latency_us <= max_p999 in
-  let ratio_ok = applied_ratio steady >= min_ratio in
-  let degradation_ok = storm.Load.storm_degradation <= max_degradation in
-  let recovery_ok =
-    storm.Load.storm_recovered_ms >= 0.0
-    && storm.Load.storm_recovered_ms <= max_recovery
-    && storm.Load.storm_all_reconnected
-  in
-  let consistent = correctness_ok steady && correctness_ok storm in
-  let budget_pass =
-    sessions_ok && p99_ok && p999_ok && ratio_ok && degradation_ok
-    && recovery_ok && consistent
-  in
-  let run_json label (r : Load.result) =
-    ( label,
-      Json.Obj
-        [
-          ("sessions_started", Json.Int r.Load.sessions_started);
-          ("sessions_peak", Json.Int r.Load.sessions_peak);
-          ("reconnects", Json.Int r.Load.reconnects);
-          ("ops_offered", Json.Int r.Load.ops_offered);
-          ("ops_skipped", Json.Int r.Load.ops_skipped);
-          ("writes_offered", Json.Int r.Load.writes_offered);
-          ("writes_applied", Json.Int r.Load.writes_applied);
-          ("offered_write_rate", Json.Float r.Load.offered_write_rate);
-          ("applied_write_rate", Json.Float r.Load.applied_write_rate);
-          ("applied_offered_ratio", Json.Float (applied_ratio r));
-          ("write_p50_us", Json.Float (Stats.median r.Load.write_latency_us));
-          ("write_p99_us", Json.Float (p99 r.Load.write_latency_us));
-          ("write_p999_us", Json.Float (Stats.p999 r.Load.write_latency_us));
-          ("sync_read_p99_us", Json.Float (p99 r.Load.sync_read_latency_us));
-          ("queue_depth_peak", Json.Int r.Load.queue_depth_peak);
-          ("queue_depth_end", Json.Int r.Load.queue_depth_end);
-          ("slow_inbox_peak", Json.Int r.Load.slow_inbox_peak);
-          ("storm_steady_rate", Json.Float r.Load.storm_steady_rate);
-          ("storm_rate", Json.Float r.Load.storm_rate);
-          ("storm_degradation", Json.Float r.Load.storm_degradation);
-          ("storm_recovered_ms", Json.Float r.Load.storm_recovered_ms);
-          ("storm_all_reconnected", Json.Bool r.Load.storm_all_reconnected);
-          ("oracle_violations", Json.Int r.Load.oracle_violations);
-          ("converged", Json.Bool r.Load.converged);
-        ] )
+  let checks =
+    [
+      ( correctness_ok steady && correctness_ok storm,
+        "consistency oracle violated or replicas failed to converge" );
+      ( float_of_int steady.Load.sessions_peak >= min_sessions
+        && float_of_int storm.Load.sessions_peak >= min_sessions
+        (* The 2000-session floor is unconditional, whatever the budget
+           file says. *)
+        && steady.Load.sessions_peak >= 2000,
+        Printf.sprintf
+          "peak concurrent sessions (steady %d, storm %d) below the required \
+           floor"
+          steady.Load.sessions_peak storm.Load.sessions_peak );
+      ( p99 steady.Load.write_latency_us <= max_p99,
+        Printf.sprintf "steady write p99 %.0f us above budget %.0f"
+          (p99 steady.Load.write_latency_us)
+          max_p99 );
+      ( Stats.p999 steady.Load.write_latency_us <= max_p999,
+        Printf.sprintf "steady write p99.9 %.0f us above budget %.0f"
+          (Stats.p999 steady.Load.write_latency_us)
+          max_p999 );
+      ( applied_ratio steady >= min_ratio,
+        Printf.sprintf "applied/offered ratio %.3f below budget %.3f"
+          (applied_ratio steady) min_ratio );
+      ( storm.Load.storm_degradation <= max_degradation,
+        Printf.sprintf "storm degradation %.0f%% above budget %.0f%%"
+          (100.0 *. storm.Load.storm_degradation)
+          (100.0 *. max_degradation) );
+      ( storm.Load.storm_recovered_ms >= 0.0
+        && storm.Load.storm_recovered_ms <= max_recovery
+        && storm.Load.storm_all_reconnected,
+        Printf.sprintf
+          "storm recovery %.1f ms (all reconnected: %b) misses budget %.1f ms"
+          storm.Load.storm_recovered_ms storm.Load.storm_all_reconnected
+          max_recovery );
+    ]
   in
   let doc =
     Json.Obj
@@ -1834,8 +1801,8 @@ let bench_load () =
               ("key_space", Json.Int Load.default_spec.Load.key_space);
               ("storm_sessions", Json.Int 400);
             ] );
-        run_json "steady" steady;
-        run_json "storm" storm;
+        load_run_json "steady" steady;
+        load_run_json "storm" storm;
         ( "budget",
           Json.Obj
             [
@@ -1845,57 +1812,12 @@ let bench_load () =
               ("min_applied_offered_ratio", Json.Float min_ratio);
               ("max_storm_degradation", Json.Float max_degradation);
               ("max_storm_recovery_ms", Json.Float max_recovery);
-              ("pass", Json.Bool budget_pass);
+              ("pass", Json.Bool (List.for_all fst checks));
             ] );
       ]
   in
-  let oc = open_out "BENCH_load.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_load.json\n%!";
-  if not consistent then
-    Printf.printf
-      "BUDGET FAIL: consistency oracle violated or replicas failed to \
-       converge\n\
-       %!";
-  if not sessions_ok then
-    Printf.printf
-      "BUDGET FAIL: peak concurrent sessions (steady %d, storm %d) below \
-       the required floor\n\
-       %!"
-      steady.Load.sessions_peak storm.Load.sessions_peak;
-  if not p99_ok then
-    Printf.printf "BUDGET FAIL: steady write p99 %.0f us above budget %.0f\n%!"
-      (p99 steady.Load.write_latency_us)
-      max_p99;
-  if not p999_ok then
-    Printf.printf
-      "BUDGET FAIL: steady write p99.9 %.0f us above budget %.0f\n%!"
-      (Stats.p999 steady.Load.write_latency_us)
-      max_p999;
-  if not ratio_ok then
-    Printf.printf
-      "BUDGET FAIL: applied/offered ratio %.3f below budget %.3f\n%!"
-      (applied_ratio steady) min_ratio;
-  if not degradation_ok then
-    Printf.printf
-      "BUDGET FAIL: storm degradation %.0f%% above budget %.0f%%\n%!"
-      (100.0 *. storm.Load.storm_degradation)
-      (100.0 *. max_degradation);
-  if not recovery_ok then
-    Printf.printf
-      "BUDGET FAIL: storm recovery %.1f ms (all reconnected: %b) misses \
-       budget %.1f ms\n\
-       %!"
-      storm.Load.storm_recovered_ms storm.Load.storm_all_reconnected
-      max_recovery;
-  if not budget_pass then begin
-    (* Post-mortem for the CI artifact, mirroring the fuzz steps. *)
-    Aring_obs.Flight.dump_jsonl_file "BENCH_load_flight.jsonl";
-    Printf.printf "flight dump written to BENCH_load_flight.jsonl\n%!";
-    exit 1
-  end
+  gate ~on_fail:(flight_dump "BENCH_load_flight.jsonl") ~file:"BENCH_load.json"
+    doc checks
 
 (* -------------------------------------------------------------------- *)
 (* Multi-ring sharded ordering: ring-scaling benchmark                  *)
@@ -1968,9 +1890,6 @@ let bench_multiring () =
     if r1.Load.applied_write_rate <= 0.0 then 0.0
     else r.Load.applied_write_rate /. r1.Load.applied_write_rate
   in
-  let correctness_ok (r : Load.result) =
-    r.Load.oracle_violations = 0 && r.Load.converged
-  in
   (* Committed budget gate. *)
   let budget =
     load_budget "bench/multiring_budget.json"
@@ -1981,17 +1900,25 @@ let bench_multiring () =
   let min_speedup_2r = bound "min_speedup_2r" in
   let max_merge_p99 = bound "max_merge_wait_p99_us" in
   let merge_p99_worst = Float.max (p99 r2.Load.merge_wait_us) (p99 r4.Load.merge_wait_us) in
-  let speedup_ok =
-    speedup r4 >= min_speedup_4r
-    && speedup r2 >= min_speedup_2r
-    (* The ISSUE floor is unconditional: 4 rings must deliver at least
-       3x single-ring aggregate applied throughput, budget file or
-       not. *)
-    && speedup r4 >= 3.0
+  let checks =
+    [
+      ( List.for_all correctness_ok (runs @ [ mcas_run ]),
+        "consistency oracle violated or a run failed to converge" );
+      ( speedup r4 >= min_speedup_4r
+        && speedup r2 >= min_speedup_2r
+        (* The 4-ring floor is unconditional: 4 rings must deliver at
+           least 3x single-ring aggregate applied throughput, budget
+           file or not. *)
+        && speedup r4 >= 3.0,
+        Printf.sprintf
+          "ring scaling 2r=%.2fx 4r=%.2fx misses the committed floors (4r \
+           floor is 3.0x unconditionally)"
+          (speedup r2) (speedup r4) );
+      ( merge_p99_worst <= max_merge_p99,
+        Printf.sprintf "merge-added p99 %.0f us above budget %.0f"
+          merge_p99_worst max_merge_p99 );
+    ]
   in
-  let merge_ok = merge_p99_worst <= max_merge_p99 in
-  let consistent = List.for_all correctness_ok (runs @ [ mcas_run ]) in
-  let budget_pass = speedup_ok && merge_ok && consistent in
   let run_json ?name (r : Load.result) =
     ( (match name with
       | Some n -> n
@@ -2051,37 +1978,12 @@ let bench_multiring () =
                 ("min_speedup_4r", Json.Float min_speedup_4r);
                 ("min_speedup_2r", Json.Float min_speedup_2r);
                 ("max_merge_wait_p99_us", Json.Float max_merge_p99);
-                ("pass", Json.Bool budget_pass);
+                ("pass", Json.Bool (List.for_all fst checks));
               ] );
         ])
   in
-  let oc = open_out "BENCH_multiring.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_multiring.json\n%!";
-  if not consistent then
-    Printf.printf
-      "BUDGET FAIL: consistency oracle violated or a run failed to \
-       converge\n\
-       %!";
-  if not speedup_ok then
-    Printf.printf
-      "BUDGET FAIL: ring scaling 2r=%.2fx 4r=%.2fx misses the committed \
-       floors (4r floor is 3.0x unconditionally)\n\
-       %!"
-      (speedup r2) (speedup r4);
-  if not merge_ok then
-    Printf.printf
-      "BUDGET FAIL: merge-added p99 %.0f us above budget %.0f\n%!"
-      merge_p99_worst
-      max_merge_p99;
-  if not budget_pass then begin
-    (* Post-mortem for the CI artifact, mirroring the fuzz steps. *)
-    Aring_obs.Flight.dump_jsonl_file "BENCH_multiring_flight.jsonl";
-    Printf.printf "flight dump written to BENCH_multiring_flight.jsonl\n%!";
-    exit 1
-  end
+  gate ~on_fail:(flight_dump "BENCH_multiring_flight.jsonl")
+    ~file:"BENCH_multiring.json" doc checks
 
 let () =
   if mode_multiring then begin

@@ -3,7 +3,9 @@
    Prints offered vs applied rate, p99/p99.9 write latency, open-loop
    queue depth and (when enabled) reconnect-storm degradation and
    recovery. The consistency oracle rides every run; a violation is a
-   hard error, and a malformed spec exits 2. *)
+   hard error, and a malformed spec exits 2. With one session per node,
+   one group and periodic arrivals it is the replicated KV store's own
+   throughput / latency / state-transfer run. *)
 
 open Aring_sim
 module Load = Aring_multiring.Load
@@ -15,7 +17,7 @@ let net_of_string = function
 
 let run nodes rings mcas net sessions groups rate periodic seconds keys theta
     reads sync_reads cas dels churn_ms storm_spec slow_spec wan_ns
-    seed verbose show_metrics =
+    partition_spec seed verbose trace_file chrome_file show_metrics =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   let storm =
     Option.map
@@ -53,6 +55,16 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
           latency_matrix = [| [| 0; wan_ns |]; [| wan_ns; 0 |] |];
         }
   in
+  let partition =
+    Option.map
+      (fun (at_ms, heal_ms) ->
+        {
+          Load.part_at_ns = at_ms * 1_000_000;
+          heal_at_ns = heal_ms * 1_000_000;
+          island = [ nodes - 1 ];
+        })
+      partition_spec
+  in
   let spec =
     {
       Load.default_spec with
@@ -77,10 +89,28 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
       churn;
       slow;
       geo;
+      partition;
       measure_ns = int_of_float (seconds *. 1e9);
       seed = Int64.of_int seed;
     }
   in
+  let module Trace = Aring_obs.Trace in
+  (* Same sink assembly as accelring_sim: a JSONL stream and/or an
+     in-memory buffer feeding the Chrome exporter. With neither
+     requested, tracing stays disabled and free. *)
+  let jsonl_oc = Option.map open_out trace_file in
+  let mem = if chrome_file <> None then Some (Trace.memory ()) else None in
+  let sinks =
+    List.filter_map Fun.id
+      [
+        Option.map Aring_obs.Trace_json.jsonl_sink jsonl_oc;
+        Option.map Trace.memory_sink mem;
+      ]
+  in
+  (match sinks with
+  | [] -> ()
+  | [ s ] -> Trace.install s
+  | ss -> Trace.install (Trace.tee ss));
   let result =
     match Load.run spec with
     | r -> r
@@ -88,6 +118,15 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
         prerr_endline msg;
         exit 2
   in
+  if sinks <> [] then Trace.uninstall ();
+  Option.iter close_out jsonl_oc;
+  Option.iter
+    (fun m ->
+      let path = Option.get chrome_file in
+      Aring_obs.Chrome_trace.write_file path (Trace.memory_events m);
+      Format.printf "chrome trace (%d events) written to %s@."
+        (Trace.memory_count m) path)
+    mem;
   Format.printf "%a@." Load.pp_result result;
   if show_metrics then
     Format.printf "%a@." Aring_obs.Metrics.pp result.Load.metrics;
@@ -219,8 +258,34 @@ let wan_ns =
           "Extra one-way latency (ns) between the two halves of the \
            cluster, emulating a WAN/geo tier (0 = none).")
 
+let partition_spec =
+  Arg.(
+    value
+    & opt (some (pair ~sep:':' int int)) None
+    & info [ "partition" ] ~docv:"AT:HEAL"
+        ~doc:
+          "Cut the last node away at $(i,AT) ms and heal at $(i,HEAL) ms \
+           (simulated), exercising freeze, re-merge and state transfer \
+           under load. $(i,HEAL) must be later than $(i,AT).")
+
 let seed = Arg.(value & opt int 21 & info [ "seed" ] ~doc:"Simulation seed.")
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.")
+
+let trace_file =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:"Write the structured event trace as JSONL to $(docv).")
+
+let chrome_file =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "chrome" ] ~docv:"FILE"
+        ~doc:
+          "Write a Chrome trace-event file to $(docv) (open in \
+           chrome://tracing or ui.perfetto.dev).")
 
 let show_metrics =
   Arg.(
@@ -240,6 +305,7 @@ let cmd =
       const run $ nodes $ rings_arg $ mcas_arg $ net $ sessions $ groups $ rate
       $ periodic $ seconds
       $ keys $ theta $ reads $ sync_reads $ cas $ dels $ churn_ms $ storm_spec
-      $ slow_spec $ wan_ns $ seed $ verbose $ show_metrics)
+      $ slow_spec $ wan_ns $ partition_spec $ seed $ verbose $ trace_file
+      $ chrome_file $ show_metrics)
 
 let () = exit (Cmd.eval cmd)

@@ -2,7 +2,6 @@ open Aring_ring
 open Aring_sim
 module Daemon = Aring_daemon.Daemon
 module Kv = Aring_app.Kv
-module Kv_scenario = Aring_app.Kv_scenario
 module Op = Aring_app.Op
 module Prng = Aring_util.Prng
 module Stats = Aring_util.Stats
@@ -27,6 +26,7 @@ type churn = {
 type slow_spec = { slow_per_node : int; drain_per_sec : float }
 type geo = { classes : int array; latency_matrix : int array array }
 type link = { l_node : int; l_up_bps : int option; l_down_bps : int option }
+type partition = { part_at_ns : int; heal_at_ns : int; island : int list }
 
 type spec = {
   label : string;
@@ -52,7 +52,7 @@ type spec = {
   slow : slow_spec option;
   geo : geo option;
   links : link list;
-  partition : Kv_scenario.partition option;
+  partition : partition option;
   warmup_ns : int;
   measure_ns : int;
   drain_ns : int;
@@ -88,6 +88,7 @@ type result = {
   storm_degradation : float;
   storm_recovered_ms : float;
   storm_all_reconnected : bool;
+  installs : int;
   cluster : Cluster.t;
   oracle_violations : int;
   converged : bool;
@@ -103,7 +104,7 @@ let default_spec =
     n_nodes = 4;
     net = Profile.gigabit;
     tier = Profile.daemon;
-    params = Kv_scenario.snappy_params ();
+    params = Aring_app.Kv_scenario.snappy_params ();
     sessions_per_node = 500;
     n_groups = 16;
     arrival = Poisson;
@@ -182,7 +183,24 @@ let validate spec =
     (fun g ->
       if Array.length g.classes <> spec.n_nodes then
         invalid_arg "Load.run: geo classes must cover n_nodes")
-    spec.geo
+    spec.geo;
+  Option.iter
+    (fun p ->
+      if List.exists (fun i -> i < 0 || i >= spec.n_nodes) p.island then
+        invalid_arg "Load.run: partition island node out of range";
+      if p.heal_at_ns <= p.part_at_ns then
+        invalid_arg "Load.run: partition heals at or before its cut")
+    spec.partition
+
+(* Drop every packet crossing the island boundary inside the window.
+   Sim participant [p] is physical node [p mod n] of its ring. *)
+let cut sim ~n p =
+  let inside = Array.make n false in
+  List.iter (fun i -> inside.(i) <- true) p.island;
+  Netsim.set_drop sim (fun ~src ~dst _ ->
+      let now = Netsim.now sim in
+      now >= p.part_at_ns && now < p.heal_at_ns
+      && inside.(src mod n) <> inside.(dst mod n))
 
 (* Partitions, links and latency classes name physical nodes; each one
    applies to that node's participant in every ring. *)
@@ -202,15 +220,7 @@ let shape_network cluster spec =
         ~classes:(Array.init (spec.rings * n) (fun p -> g.classes.(p mod n)))
         ~matrix:g.latency_matrix)
     spec.geo;
-  Option.iter
-    (fun (p : Kv_scenario.partition) ->
-      let inside = Array.make n false in
-      List.iter (fun i -> if i >= 0 && i < n then inside.(i) <- true) p.island;
-      Netsim.set_drop sim (fun ~src ~dst _ ->
-          let now = Netsim.now sim in
-          now >= p.part_at_ns && now < p.heal_at_ns
-          && inside.(src mod n) <> inside.(dst mod n)))
-    spec.partition
+  Option.iter (cut sim ~n) spec.partition
 
 let run spec =
   validate spec;
@@ -677,12 +687,92 @@ let run spec =
     storm_degradation;
     storm_recovered_ms;
     storm_all_reconnected;
+    installs =
+      List.fold_left ( + ) 0
+        (List.init (rings * n) (fun p ->
+             (Kv.stats (Cluster.kv cluster ~ring:(p / n) ~node:(p mod n)))
+               .Kv.installs));
     cluster;
     oracle_violations = Cluster.oracle_violations cluster;
     converged = converged ();
     end_ns = Netsim.now sim;
     metrics;
   }
+
+type transfer_result = {
+  entries_transferred : int;
+  bytes_transferred : int;
+  xfer_us : float;
+  total_installs : int;
+}
+
+let measure_transfer ~store_entries =
+  let n = 4 in
+  let cluster = Cluster.create ~seed:7L ~rings:1 ~nodes:n () in
+  let sim = Cluster.sim cluster in
+  let kv node = Cluster.kv cluster ~ring:0 ~node in
+  let joiner = n - 1 in
+  let view_ns = ref 0 in
+  Netsim.on_view sim (fun ~at ~now (v : Participant.view) ->
+      if at = joiner && not v.transitional then view_ns := now);
+  let value = String.make 128 'x' in
+  let preloaded =
+    List.init store_entries (fun i -> (Printf.sprintf "p%06d" i, value))
+  in
+  for node = 0 to n - 1 do
+    Kv.preload (kv node) preloaded
+  done;
+  let part = { part_at_ns = ms 5; heal_at_ns = ms 120; island = [ joiner ] } in
+  cut sim ~n part;
+  (* Diverge the majority so the healed minority member needs the
+     snapshot; writes ride node 0's replica while the island is cut. *)
+  for i = 0 to 63 do
+    Netsim.call_at sim
+      ~at:(ms 20 + (i * 300_000))
+      (fun () -> Kv.put (kv 0) ~key:(Printf.sprintf "b%03d" i) ~value:"burst")
+  done;
+  let install = ref None in
+  Kv.add_observer (kv joiner) (function
+    | Kv.Installed { entries; _ } when Netsim.now sim > part.heal_at_ns ->
+        let bytes =
+          List.fold_left
+            (fun acc (k, v) -> acc + String.length k + String.length v)
+            0 entries
+        in
+        install :=
+          Some
+            ( List.length entries,
+              bytes,
+              float_of_int (Netsim.now sim - !view_ns) /. 1e3 )
+    | _ -> ());
+  let deadline = ms 2_000 in
+  let t = ref 0 in
+  while !install = None && !t < deadline do
+    t := !t + ms 25;
+    Netsim.run_until sim !t
+  done;
+  match !install with
+  | None ->
+      failwith
+        (Printf.sprintf
+           "Load.measure_transfer: no install within %dms (entries=%d)"
+           (deadline / ms 1) store_entries)
+  | Some (entries_transferred, bytes_transferred, xfer_us) ->
+      (* Let the replay settle, then sanity-check convergence. *)
+      Netsim.run_until sim (!t + ms 200);
+      Cluster.check_convergence cluster;
+      if Cluster.oracle_violations cluster > 0 then
+        failwith
+          (Format.asprintf "Load.measure_transfer: %a" Aring_app.Oracle.pp
+             (Cluster.oracle cluster ~ring:0));
+      {
+        entries_transferred;
+        bytes_transferred;
+        xfer_us;
+        total_installs =
+          List.fold_left ( + ) 0
+            (List.init n (fun node -> (Kv.stats (kv node)).Kv.installs));
+      }
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -693,6 +783,7 @@ let pp_result ppf r =
      (p99=%.0fus)@,\
     \  open-loop queue: peak %d, end %d; slow inbox: peak %d, end %d@,\
     \  churn: %d reconnects%s@,\
+    \  transfers: %d installs@,\
     \  oracle: %d violation(s), converged=%b"
     r.spec.label r.spec.n_nodes r.sessions_started r.sessions_peak
     r.spec.ops_per_sec r.ops_offered r.writes_offered r.offered_write_rate
@@ -713,7 +804,7 @@ let pp_result ppf r =
           r.storm_steady_rate r.storm_rate
           (100.0 *. r.storm_degradation)
           r.storm_recovered_ms r.storm_all_reconnected)
-    r.oracle_violations r.converged;
+    r.installs r.oracle_violations r.converged;
   if r.spec.rings > 1 then
     Format.fprintf ppf
       "@,  rings: %d; merge wait p50=%.0fus p99=%.0fus; per-ring applied %s; \

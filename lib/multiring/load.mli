@@ -77,6 +77,12 @@ type geo = {
 
 type link = { l_node : int; l_up_bps : int option; l_down_bps : int option }
 
+type partition = {
+  part_at_ns : int;
+  heal_at_ns : int;  (** Must be later than [part_at_ns]. *)
+  island : int list;  (** Nodes cut away from the rest of the cluster. *)
+}
+
 type spec = {
   label : string;
   n_nodes : int;
@@ -105,7 +111,9 @@ type spec = {
   slow : slow_spec option;
   geo : geo option;
   links : link list;
-  partition : Aring_app.Kv_scenario.partition option;
+  partition : partition option;
+      (** One partition window, exercising freeze, merge and state
+          transfer under load. *)
   warmup_ns : int;
   measure_ns : int;
   drain_ns : int;
@@ -152,6 +160,9 @@ type result = {
           in-flight queue back under twice its pre-storm peak. Negative
           when it never recovered (or no storm ran: 0). *)
   storm_all_reconnected : bool;  (** True (vacuously) when no storm ran. *)
+  installs : int;
+      (** Snapshot state transfers installed, summed over every replica
+          ({!Aring_app.Kv.stats}). *)
   cluster : Cluster.t;
       (** The simulated deployment, for post-run inspection (per-ring
           oracles, replicas). *)
@@ -178,7 +189,24 @@ val run : spec -> result
     @raise Invalid_argument on a malformed spec: [rings < 1],
     [n_nodes < 2], a negative op-mix permille, an op mix above 1000
     permille, [mcas_permille > 0] at one ring, an empty or zero-weight
-    value mix, a link naming no node, or geo classes not covering
-    [n_nodes]. *)
+    value mix, a link naming no node, geo classes not covering
+    [n_nodes], a partition island naming no node, or a partition that
+    heals at or before its cut. *)
+
+type transfer_result = {
+  entries_transferred : int;
+  bytes_transferred : int;  (** Sum of key+value bytes in the snapshot. *)
+  xfer_us : float;  (** Merge-view-to-install at the rejoining node. *)
+  total_installs : int;
+}
+
+val measure_transfer : store_entries:int -> transfer_result
+(** Isolated state-transfer timing vs store size on a 4-node one-ring
+    {!Cluster} with its default profile and seed 7: preload every
+    replica with [store_entries] identical 128-byte entries, cut the
+    last node away, run a 64-put burst at node 0 so states diverge,
+    heal, and time the rejoining node's snapshot install. Raises
+    [Failure] if the transfer never completes or the oracle flags a
+    violation. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -148,43 +148,6 @@ let memory_sink m =
 let memory_events m = List.rev m.rev_events
 let memory_count m = m.n
 
-(* Bounded ring buffer keeping the last [capacity] events: the
-   always-on-able sink for long runs. *)
-type ring_buffer = {
-  buf : event option array;
-  mutable next : int;
-  mutable total : int;
-}
-
-let ring_buffer ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring_buffer: capacity must be > 0";
-  { buf = Array.make capacity None; next = 0; total = 0 }
-
-let ring_sink r =
-  {
-    emit =
-      (fun ev ->
-        r.buf.(r.next) <- Some ev;
-        r.next <- (r.next + 1) mod Array.length r.buf;
-        r.total <- r.total + 1);
-    flush = (fun () -> ());
-  }
-
-(* Oldest first. *)
-let ring_events r =
-  let n = Array.length r.buf in
-  let rec collect i acc =
-    if i = 0 then acc
-    else
-      let idx = (r.next - i + (2 * n)) mod n in
-      match r.buf.(idx) with
-      | Some ev -> collect (i - 1) (ev :: acc)
-      | None -> collect (i - 1) acc
-  in
-  List.rev (collect n [])
-
-let ring_total r = r.total
-
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                     *)
 

@@ -146,17 +146,6 @@ val memory_events : memory -> event list
 
 val memory_count : memory -> int
 
-type ring_buffer
-(** Bounded buffer keeping the last [capacity] events. *)
-
-val ring_buffer : capacity:int -> ring_buffer
-val ring_sink : ring_buffer -> sink
-val ring_events : ring_buffer -> event list
-(** Oldest first; at most [capacity] events. *)
-
-val ring_total : ring_buffer -> int
-(** Total events ever emitted (including overwritten ones). *)
-
 (** {1 Printing} *)
 
 val kind_name : kind -> string

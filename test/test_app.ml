@@ -405,56 +405,59 @@ let test_oracle_install_rebases () =
 (* -------------------------------------------------------------------- *)
 (* Scenario-driven workload                                              *)
 
+(* The one-ring KV scenario, one client per replica, as the load driver
+   runs it: the same Cluster-built stack and oracle. *)
+let kv_spec =
+  {
+    Aring_multiring.Load.default_spec with
+    label = "kv";
+    sessions_per_node = 1;
+    n_groups = 1;
+    arrival = Aring_multiring.Load.Periodic;
+    key_space = 64;
+    value_mix = [ (128, 1) ];
+    warmup_ns = ms 20;
+  }
+
 let test_kv_scenario_smoke () =
-  let spec =
-    {
-      Kv_scenario.default_spec with
-      Kv_scenario.n_nodes = 3;
-      ops_per_sec = 4_000.0;
-      warmup_ns = ms 20;
-      measure_ns = ms 80;
-      drain_ns = ms 800;
-      seed = 5L;
-    }
+  let module Load = Aring_multiring.Load in
+  let r =
+    Load.run
+      {
+        kv_spec with
+        n_nodes = 3;
+        ops_per_sec = 4_000.0;
+        measure_ns = ms 80;
+        drain_ns = ms 800;
+        seed = 5L;
+      }
   in
-  let r = Kv_scenario.run spec in
-  check Alcotest.int "oracle clean" 0 r.Kv_scenario.oracle_violations;
-  check Alcotest.bool "converged" true r.Kv_scenario.converged;
-  check Alcotest.bool "applied writes" true (r.Kv_scenario.writes_applied > 0);
+  check Alcotest.int "oracle clean" 0 r.Load.oracle_violations;
+  check Alcotest.bool "converged" true r.Load.converged;
+  check Alcotest.bool "applied writes" true (r.Load.writes_applied > 0);
   check Alcotest.bool "measured write latency" true
-    (Aring_util.Stats.count r.Kv_scenario.write_latency_us > 0);
+    (Aring_util.Stats.count r.Load.write_latency_us > 0);
   check Alcotest.bool "measured sync reads" true
-    (Aring_util.Stats.count r.Kv_scenario.sync_read_latency_us > 0)
+    (Aring_util.Stats.count r.Load.sync_read_latency_us > 0)
 
 let test_kv_scenario_partition () =
-  let spec =
-    {
-      Kv_scenario.default_spec with
-      Kv_scenario.n_nodes = 4;
-      ops_per_sec = 3_000.0;
-      warmup_ns = ms 20;
-      measure_ns = ms 200;
-      drain_ns = ms 1_500;
-      seed = 6L;
-      partition =
-        Some
-          {
-            Kv_scenario.part_at_ns = ms 60;
-            heal_at_ns = ms 140;
-            island = [ 3 ];
-          };
-    }
+  let module Load = Aring_multiring.Load in
+  let r =
+    Load.run
+      {
+        kv_spec with
+        n_nodes = 4;
+        ops_per_sec = 3_000.0;
+        measure_ns = ms 200;
+        drain_ns = ms 1_500;
+        seed = 6L;
+        partition =
+          Some { Load.part_at_ns = ms 60; heal_at_ns = ms 140; island = [ 3 ] };
+      }
   in
-  let r = Kv_scenario.run spec in
-  check Alcotest.int "oracle clean" 0 r.Kv_scenario.oracle_violations;
-  check Alcotest.bool "converged" true r.Kv_scenario.converged;
-  check Alcotest.bool "state transfer happened" true (r.Kv_scenario.installs >= 1)
-
-let test_measure_transfer () =
-  let r = Kv_scenario.measure_transfer ~store_entries:500 () in
-  check Alcotest.bool "entries transferred" true
-    (r.Kv_scenario.entries_transferred >= 500);
-  check Alcotest.bool "timed" true (r.Kv_scenario.xfer_us > 0.0)
+  check Alcotest.int "oracle clean" 0 r.Load.oracle_violations;
+  check Alcotest.bool "converged" true r.Load.converged;
+  check Alcotest.bool "state transfer happened" true (r.Load.installs >= 1)
 
 let suite =
   [
@@ -485,5 +488,4 @@ let suite =
     Alcotest.test_case "kv scenario smoke" `Quick test_kv_scenario_smoke;
     Alcotest.test_case "kv scenario with partition" `Quick
       test_kv_scenario_partition;
-    Alcotest.test_case "measure transfer" `Quick test_measure_transfer;
   ]

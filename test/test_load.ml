@@ -6,7 +6,6 @@
 
 module Load = Aring_multiring.Load
 module Stats = Aring_util.Stats
-module Kv_scenario = Aring_app.Kv_scenario
 
 let check = Alcotest.check
 let ms n = n * 1_000_000
@@ -75,7 +74,7 @@ let test_backpressure_independence () =
         partition =
           Some
             {
-              Kv_scenario.part_at_ns = ms 10;
+              Load.part_at_ns = ms 10;
               heal_at_ns = horizon + ms 50;
               island = [ 2; 3 ];
             };
@@ -219,7 +218,7 @@ let two_ring_everything =
         };
     slow = Some { Load.slow_per_node = 1; drain_per_sec = 500.0 };
     partition =
-      Some { Kv_scenario.part_at_ns = ms 70; heal_at_ns = ms 110; island = [ 3 ] };
+      Some { Load.part_at_ns = ms 70; heal_at_ns = ms 110; island = [ 3 ] };
   }
 
 let test_two_rings_every_dimension () =
@@ -245,6 +244,43 @@ let test_two_rings_every_dimension () =
     b.Load.slow_inbox_peak;
   check Alcotest.int "mcas commits" a.Load.mcas_commits b.Load.mcas_commits;
   check Alcotest.int "end_ns" a.Load.end_ns b.Load.end_ns
+
+(* One ring, one session per node, the last node cut away and healed
+   under load: writes and sync reads complete, the minority rejoins by
+   snapshot state transfer and the replicas re-converge. *)
+let test_one_ring_partition_transfer () =
+  let r =
+    Load.run
+      {
+        small_spec with
+        label = "load-1r-partition";
+        sessions_per_node = 1;
+        n_groups = 1;
+        arrival = Load.Periodic;
+        measure_ns = ms 200;
+        drain_ns = ms 1_500;
+        partition =
+          Some { Load.part_at_ns = ms 60; heal_at_ns = ms 140; island = [ 3 ] };
+      }
+  in
+  check_clean r;
+  check Alcotest.bool "applied writes" true (r.Load.writes_applied > 0);
+  check Alcotest.bool "measured write latency" true
+    (Stats.count r.Load.write_latency_us > 0);
+  check Alcotest.bool "measured sync reads" true
+    (Stats.count r.Load.sync_read_latency_us > 0);
+  if r.Load.installs < 1 then
+    Alcotest.failf "expected a state transfer after the heal, got %d installs"
+      r.Load.installs
+
+(* Pinned figures of the single-ring transfer measurement: the one-ring
+   Cluster rebuild must be the exact same stack, to the nanosecond. *)
+let test_measure_transfer_pinned () =
+  let t = Load.measure_transfer ~store_entries:100 in
+  check Alcotest.int "entries" 164 t.Load.entries_transferred;
+  check Alcotest.int "bytes" 14076 t.Load.bytes_transferred;
+  check (Alcotest.float 0.0) "xfer_us" 614.212 t.Load.xfer_us;
+  check Alcotest.int "installs" 1 t.Load.total_installs
 
 let test_invalid_specs () =
   let rejects name msg spec =
@@ -277,6 +313,18 @@ let test_invalid_specs () =
     {
       small_spec with
       geo = Some { Load.classes = [| 0; 1 |]; latency_matrix = [| [| 0 |] |] };
+    };
+  rejects "partition island off the cluster" "partition island node out of range"
+    {
+      small_spec with
+      partition =
+        Some { Load.part_at_ns = ms 10; heal_at_ns = ms 50; island = [ 4 ] };
+    };
+  rejects "partition heals before cut" "partition heals at or before its cut"
+    {
+      small_spec with
+      partition =
+        Some { Load.part_at_ns = ms 50; heal_at_ns = ms 50; island = [ 3 ] };
     }
 
 let suite =
@@ -295,5 +343,9 @@ let suite =
       test_background_churn;
     Alcotest.test_case "two rings with churn, storm, slow receivers, partition"
       `Quick test_two_rings_every_dimension;
+    Alcotest.test_case "one-ring partition transfers state" `Quick
+      test_one_ring_partition_transfer;
+    Alcotest.test_case "transfer measurement pinned" `Quick
+      test_measure_transfer_pinned;
     Alcotest.test_case "invalid specs rejected" `Quick test_invalid_specs;
   ]
