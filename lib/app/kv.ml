@@ -2,6 +2,8 @@ open Aring_wire
 module Daemon = Aring_daemon.Daemon
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
+module Stbl = Aring_util.Stbl
+module Fnv = Aring_util.Fnv
 
 let group = "kv"
 
@@ -58,6 +60,7 @@ type incoming = {
   mutable xf_entries : (string * string) list;
   mutable xf_applied : int;
   mutable xf_buffer : Op.t list;  (* newest first *)
+  mutable xf_depth : int;  (* length of [xf_buffer] *)
   mutable xf_meta : (string * int) list;  (* donor's mcas table *)
   mutable xf_park : Op.t list;  (* donor's parked head + queue, in order *)
 }
@@ -78,7 +81,7 @@ type t = {
   max_chunk_bytes : int;
   bug : bug;
   mutable bug_writes : int;
-  store : (string, string) Hashtbl.t;
+  store : string Stbl.t;
   mutable applied_n : int;
   mutable synced_f : bool;
   mutable primary : bool;
@@ -88,7 +91,7 @@ type t = {
   mutable elected : bool;
   mutable xfer_in : incoming option;
   pending : (int, string option -> token:int -> unit) Hashtbl.t;
-  mcas_meta : (string, mcas_status) Hashtbl.t;
+  mcas_meta : mcas_status Stbl.t;
   mutable mcas_head : mcas_active option;
   mcas_q : Op.t Queue.t;
   mutable next_nonce : int;
@@ -106,30 +109,16 @@ let mcas_parked t = t.mcas_head <> None
 
 let parked_op t =
   match t.mcas_head with None -> None | Some h -> Some h.mc_op
-let mcas_status t id = Hashtbl.find_opt t.mcas_meta id
-let store_size t = Hashtbl.length t.store
+let mcas_status t id = Stbl.find_opt t.mcas_meta id
+let store_size t = Stbl.length t.store
 let pending_sync_reads t = Hashtbl.length t.pending
 let stats t = t.stats
 let add_observer t f = t.observers <- t.observers @ [ f ]
 let observe t obs = List.iter (fun f -> f obs) t.observers
 
 let entries t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Order-independent store digest: per-entry FNV-1a hashes summed, seeded
-   with the entry count. Election compares (applied, digest) pairs, so the
-   digest need only separate states that differ in content. *)
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
+  Stbl.fold (fun k v acc -> (k, v) :: acc) t.store []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Status codes carried by Op.Mcas_table and folded into the digest. *)
 let status_code = function
@@ -144,24 +133,27 @@ let status_of_code = function
   | 2 -> Mcas_decided false
   | _ -> Mcas_decided true
 
+(* Order-independent store digest: per-entry FNV-1a hashes summed, seeded
+   with the entry count. Election compares (applied, digest) pairs, so the
+   digest need only separate states that differ in content. *)
 let digest t =
   let base =
-    Hashtbl.fold
+    Stbl.fold
       (fun k v acc ->
         Int64.add acc
-          (fnv_string (fnv_string (fnv_string fnv_offset k) "\x00") v))
+          (Fnv.string (Fnv.string (Fnv.string Fnv.offset k) "\x00") v))
       t.store
-      (Int64.of_int (Hashtbl.length t.store))
+      (Int64.of_int (Stbl.length t.store))
   in
   (* Parked-mcas and vote-table state must distinguish replicas whose
      stores match byte for byte: a park never advances [applied], yet a
      replica holding one diverges from a clean peer the moment the mcas
      resolves. Both folds are no-ops in single-ring deployments. *)
   let base =
-    Hashtbl.fold
+    Stbl.fold
       (fun id st acc ->
         Int64.add acc
-          (fnv_string (fnv_string fnv_offset id)
+          (Fnv.string (Fnv.string Fnv.offset id)
              (String.make 1 (Char.chr (status_code st + 1)))))
       t.mcas_meta base
   in
@@ -169,11 +161,11 @@ let digest t =
   | None -> base
   | Some { mc_op; _ } ->
       let h =
-        fnv_string fnv_offset (Bytes.unsafe_to_string (Op.encode mc_op))
+        Fnv.string Fnv.offset (Bytes.unsafe_to_string (Op.encode mc_op))
       in
       let h =
         Queue.fold
-          (fun h op -> fnv_string h (Bytes.unsafe_to_string (Op.encode op)))
+          (fun h op -> Fnv.string h (Bytes.unsafe_to_string (Op.encode op)))
           h t.mcas_q
       in
       Int64.add base h
@@ -191,6 +183,12 @@ let multicast_op ?service t op =
 
 (* --- op-log execution ------------------------------------------------ *)
 
+(* Whether [key] holds [expect] ([None] = absent): the cas and mcas-vote
+   test, comparing strings with [String.equal] rather than polymorphic
+   [=]. *)
+let holds t key expect =
+  Option.equal String.equal (Stbl.find_opt t.store key) expect
+
 let apply_write t op =
   t.applied_n <- t.applied_n + 1;
   let key = Option.get (Op.write_key op) in
@@ -202,29 +200,30 @@ let apply_write t op =
         t.bug_writes mod every = 0
   in
   (match op with
-  | Op.Put { key; value } -> if not skip then Hashtbl.replace t.store key value
-  | Op.Del { key } -> if not skip then Hashtbl.remove t.store key
+  | Op.Put { key; value } -> if not skip then Stbl.replace t.store key value
+  | Op.Del { key } -> if not skip then Stbl.remove t.store key
   | Op.Cas { key; expect; value } ->
-      if Hashtbl.find_opt t.store key = expect then begin
-        if not skip then Hashtbl.replace t.store key value
+      if holds t key expect then begin
+        if not skip then Stbl.replace t.store key value
       end
       else t.stats.cas_failures <- t.stats.cas_failures + 1
   | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
   | Op.Skip _ | Op.Mcas_table _ ->
       assert false);
   t.stats.ops_applied <- t.stats.ops_applied + 1;
-  let value = Hashtbl.find_opt t.store key in
+  let value = Stbl.find_opt t.store key in
   observe t (Applied { index = t.applied_n; op; value });
   Aring_obs.Flight.record ~node:t.me ~code:Aring_obs.Flight.ev_apply
-    ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0;
+    ~a:t.applied_n ~b:(if Option.is_none value then 1 else 0) ~c:0 ~d:0;
   Aring_obs.Span.note_applied ~node:t.me;
   if Trace.enabled () then
     Trace.emit ~node:t.me
-      (Trace.App_apply { index = t.applied_n; key; deleted = value = None })
+      (Trace.App_apply
+         { index = t.applied_n; key; deleted = Option.is_none value })
 
 let serve_sync t ~nonce ~key =
   t.stats.sync_reads <- t.stats.sync_reads + 1;
-  let value = Hashtbl.find_opt t.store key in
+  let value = Stbl.find_opt t.store key in
   let token = t.applied_n in
   observe t (Read { key; value; token; sync = true });
   if Trace.enabled () then
@@ -238,8 +237,9 @@ let serve_sync t ~nonce ~key =
 
 let buffer_op t xf op =
   xf.xf_buffer <- op :: xf.xf_buffer;
-  let depth = List.length xf.xf_buffer in
-  if depth > t.stats.buffered_peak then t.stats.buffered_peak <- depth
+  xf.xf_depth <- xf.xf_depth + 1;
+  if xf.xf_depth > t.stats.buffered_peak then
+    t.stats.buffered_peak <- xf.xf_depth
 
 (* --- cross-shard multi-key cas (Mcas) -------------------------------- *)
 
@@ -256,7 +256,7 @@ let my_part t parts =
 let start_mcas ?(wound = false) t op =
   match op with
   | Op.Mcas { id; parts } -> (
-      match Hashtbl.find_opt t.mcas_meta id with
+      match Stbl.find_opt t.mcas_meta id with
       | Some _ -> t.stats.mcas_dups <- t.stats.mcas_dups + 1
       | None -> (
           match my_part t parts with
@@ -265,10 +265,10 @@ let start_mcas ?(wound = false) t op =
               let vote =
                 (not wound)
                 && List.for_all
-                     (fun (k, x) -> Hashtbl.find_opt t.store k = x)
+                     (fun (k, x) -> holds t k x)
                      p.Op.mp_checks
               in
-              Hashtbl.replace t.mcas_meta id (Mcas_voted vote);
+              Stbl.replace t.mcas_meta id (Mcas_voted vote);
               t.stats.mcas_votes <- t.stats.mcas_votes + 1;
               if wound then t.stats.mcas_wounds <- t.stats.mcas_wounds + 1;
               if vote then t.mcas_head <- Some { mc_id = id; mc_op = op };
@@ -309,7 +309,7 @@ let rec deliver_write t op =
   | Some head -> (
       match op with
       | Op.Mcas { id; _ }
-        when (not (Hashtbl.mem t.mcas_meta id)) && id > head.mc_id ->
+        when (not (Stbl.mem t.mcas_meta id)) && id > head.mc_id ->
           start_mcas ~wound:true t op
       | _ -> Queue.push op t.mcas_q)
 
@@ -325,7 +325,7 @@ and drain_mcas_q t =
 let deliver_decide t ~id ~commit =
   match t.mcas_head with
   | Some { mc_id; mc_op } when mc_id = id ->
-      Hashtbl.replace t.mcas_meta id (Mcas_decided commit);
+      Stbl.replace t.mcas_meta id (Mcas_decided commit);
       t.mcas_head <- None;
       (if commit then begin
          t.stats.mcas_commits <- t.stats.mcas_commits + 1;
@@ -350,10 +350,10 @@ let deliver_decide t ~id ~commit =
          snapshot install. Record the decision for dedup — the writes,
          if any, reach this replica through the donor's snapshot, never
          out of delivery order. *)
-      match Hashtbl.find_opt t.mcas_meta id with
+      match Stbl.find_opt t.mcas_meta id with
       | Some (Mcas_decided _) -> t.stats.mcas_dups <- t.stats.mcas_dups + 1
       | _ ->
-          Hashtbl.replace t.mcas_meta id (Mcas_decided commit);
+          Stbl.replace t.mcas_meta id (Mcas_decided commit);
           (if commit then t.stats.mcas_commits <- t.stats.mcas_commits + 1
            else t.stats.mcas_aborts <- t.stats.mcas_aborts + 1);
           observe t (Decided { id; commit }))
@@ -365,10 +365,10 @@ let clear_park t =
 (* --- state transfer -------------------------------------------------- *)
 
 let cold_reset t =
-  Hashtbl.reset t.store;
+  Stbl.reset t.store;
   t.applied_n <- 0;
   t.synced_f <- true;
-  Hashtbl.reset t.mcas_meta;
+  Stbl.reset t.mcas_meta;
   clear_park t;
   t.stats.cold_resets <- t.stats.cold_resets + 1;
   observe t Reset;
@@ -396,7 +396,7 @@ let stream_snapshot t ~view =
   let total = List.length chunks in
   t.stats.snapshots_sent <- t.stats.snapshots_sent + 1;
   trace_xfer t ~phase:"snapshot" ~donor:t.me ~applied
-    ~entries:(Hashtbl.length t.store);
+    ~entries:(Stbl.length t.store);
   (* Mcas vote/decision table and parked-op state travel ahead of the
      chunks (only when non-empty, so single-ring streams are unchanged):
      the snapshot store excludes an undecided park's effects, and the
@@ -407,7 +407,7 @@ let stream_snapshot t ~view =
      stall the ring's delivery for every other member. Receivers append
      table messages in stream order, so the split is invisible. *)
   let meta =
-    Hashtbl.fold (fun id st acc -> (id, status_code st) :: acc) t.mcas_meta []
+    Stbl.fold (fun id st acc -> (id, status_code st) :: acc) t.mcas_meta []
     |> List.sort compare
   in
   let parked =
@@ -498,14 +498,15 @@ let elect t ~view =
               xf_entries = [];
               xf_applied = 0;
               xf_buffer = [];
+              xf_depth = 0;
               xf_meta = [];
               xf_park = [];
             }
       end
 
 let install t xf =
-  Hashtbl.reset t.store;
-  List.iter (fun (k, v) -> Hashtbl.replace t.store k v) xf.xf_entries;
+  Stbl.reset t.store;
+  List.iter (fun (k, v) -> Stbl.replace t.store k v) xf.xf_entries;
   t.applied_n <- xf.xf_applied;
   t.synced_f <- true;
   t.xfer_in <- None;
@@ -514,9 +515,9 @@ let install t xf =
      replica onto the donor's log prefix, so the donor's vote table and
      park (not any stale local ones) are the matching cross-shard
      state. *)
-  Hashtbl.reset t.mcas_meta;
+  Stbl.reset t.mcas_meta;
   List.iter
-    (fun (id, code) -> Hashtbl.replace t.mcas_meta id (status_of_code code))
+    (fun (id, code) -> Stbl.replace t.mcas_meta id (status_of_code code))
     xf.xf_meta;
   clear_park t;
   (match xf.xf_park with
@@ -651,7 +652,7 @@ let on_view t (v : Aring_ring.Participant.view) =
     t.elected <- false;
     t.stats.hellos_sent <- t.stats.hellos_sent + 1;
     trace_xfer t ~phase:"hello" ~donor:t.me ~applied:t.applied_n
-      ~entries:(Hashtbl.length t.store);
+      ~entries:(Stbl.length t.store);
     multicast_op t
       (Op.Hello
          {
@@ -676,7 +677,7 @@ let skip t ~credits = multicast_op t (Op.Skip { credits })
 
 let read t ~key =
   t.stats.reads <- t.stats.reads + 1;
-  let value = Hashtbl.find_opt t.store key in
+  let value = Stbl.find_opt t.store key in
   let token = t.applied_n in
   observe t (Read { key; value; token; sync = false });
   if Trace.enabled () then
@@ -717,7 +718,7 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
       max_chunk_bytes;
       bug;
       bug_writes = 0;
-      store = Hashtbl.create 64;
+      store = Stbl.create 64;
       applied_n = 0;
       synced_f = true;
       primary = true;
@@ -727,7 +728,7 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
       elected = false;
       xfer_in = None;
       pending = Hashtbl.create 8;
-      mcas_meta = Hashtbl.create 8;
+      mcas_meta = Stbl.create 8;
       mcas_head = None;
       mcas_q = Queue.create ();
       next_nonce = 0;
@@ -763,8 +764,8 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
 let preload t entries =
   if t.applied_n > 0 || t.view <> None then
     invalid_arg "Kv.preload: replica already running";
-  Hashtbl.reset t.store;
-  List.iter (fun (k, v) -> Hashtbl.replace t.store k v) entries;
+  Stbl.reset t.store;
+  List.iter (fun (k, v) -> Stbl.replace t.store k v) entries;
   (* Report as a self-installed snapshot so any attached oracle's shadow
      starts from the same contents. *)
   observe t (Installed { donor = t.me; applied = 0; entries })
@@ -788,6 +789,6 @@ let record_metrics ?(prefix = "") t reg =
   c "app.mcas_aborts" t.stats.mcas_aborts;
   c "app.mcas_dups" t.stats.mcas_dups;
   c "app.skips" t.stats.skips;
-  g "app.store_size" (float_of_int (Hashtbl.length t.store));
+  g "app.store_size" (float_of_int (Stbl.length t.store));
   g "app.applied" (float_of_int t.applied_n);
   g "app.buffered_peak" (float_of_int t.stats.buffered_peak)

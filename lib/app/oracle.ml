@@ -1,4 +1,5 @@
 open Aring_wire
+module Stbl = Aring_util.Stbl
 
 type violation_kind =
   | Stale_state
@@ -23,7 +24,7 @@ let kind_label = function
   | Unsynced -> "unsynced"
 
 type shadow = {
-  sh_store : (string, string) Hashtbl.t;
+  sh_store : string Stbl.t;
   mutable sh_index : int;
   mutable sh_token : int;
 }
@@ -32,7 +33,7 @@ type t = {
   max_violations : int;
   mutable kept : violation list;  (* newest first *)
   mutable total : int;
-  shadows : (Types.pid, shadow) Hashtbl.t;
+  mutable shadows : shadow option array;  (* indexed by pid *)
   mutable replicas : Kv.t list;
 }
 
@@ -41,7 +42,7 @@ let create ?(max_violations = 100) () =
     max_violations;
     kept = [];
     total = 0;
-    shadows = Hashtbl.create 8;
+    shadows = [||];
     replicas = [];
   }
 
@@ -53,13 +54,23 @@ let violation t ~node kind fmt =
         t.kept <- { o_node = node; o_kind = kind; o_detail = detail } :: t.kept)
     fmt
 
+let find_shadow t node =
+  if node < Array.length t.shadows then t.shadows.(node) else None
+
 let shadow_of t node =
-  match Hashtbl.find_opt t.shadows node with
+  match find_shadow t node with
   | Some s -> s
   | None ->
-      let s = { sh_store = Hashtbl.create 64; sh_index = 0; sh_token = 0 } in
-      Hashtbl.replace t.shadows node s;
+      let s = { sh_store = Stbl.create 64; sh_index = 0; sh_token = 0 } in
+      if node >= Array.length t.shadows then begin
+        let a = Array.make (max (node + 1) (2 * Array.length t.shadows)) None in
+        Array.blit t.shadows 0 a 0 (Array.length t.shadows);
+        t.shadows <- a
+      end;
+      t.shadows.(node) <- Some s;
       s
+
+let value_equal = Option.equal String.equal
 
 let str_opt = function None -> "absent" | Some v -> Printf.sprintf "%S" v
 
@@ -72,17 +83,17 @@ let observe t ~node (obs : Kv.observation) =
           index sh.sh_index;
       sh.sh_index <- index;
       (match op with
-      | Op.Put { key; value } -> Hashtbl.replace sh.sh_store key value
-      | Op.Del { key } -> Hashtbl.remove sh.sh_store key
+      | Op.Put { key; value } -> Stbl.replace sh.sh_store key value
+      | Op.Del { key } -> Stbl.remove sh.sh_store key
       | Op.Cas { key; expect; value } ->
-          if Hashtbl.find_opt sh.sh_store key = expect then
-            Hashtbl.replace sh.sh_store key value
+          if value_equal (Stbl.find_opt sh.sh_store key) expect then
+            Stbl.replace sh.sh_store key value
       | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
       | Op.Skip _ | Op.Mcas_table _ ->
           ());
       let key = Option.value ~default:"" (Op.write_key op) in
-      let expected = Hashtbl.find_opt sh.sh_store key in
-      if expected <> value then begin
+      let expected = Stbl.find_opt sh.sh_store key in
+      if not (value_equal expected value) then begin
         violation t ~node Stale_state
           "apply %d (%s): store has %s, shadow expects %s" index
           (Format.asprintf "%a" Op.pp op)
@@ -90,8 +101,8 @@ let observe t ~node (obs : Kv.observation) =
         (* Adopt the reported value so one bug is one violation, not a
            cascade on every later touch of the key. *)
         match value with
-        | Some v -> Hashtbl.replace sh.sh_store key v
-        | None -> Hashtbl.remove sh.sh_store key
+        | Some v -> Stbl.replace sh.sh_store key v
+        | None -> Stbl.remove sh.sh_store key
       end
   | Kv.Read { key; value; token; sync } ->
       if token < sh.sh_token then
@@ -101,16 +112,16 @@ let observe t ~node (obs : Kv.observation) =
       (* The shadow models exactly the applied prefix; compare only when
          the read's token matches it. *)
       if token = sh.sh_index then begin
-        let expected = Hashtbl.find_opt sh.sh_store key in
-        if expected <> value then
+        let expected = Stbl.find_opt sh.sh_store key in
+        if not (value_equal expected value) then
           violation t ~node Stale_read
             "%sread of %S at token %d returned %s, shadow has %s"
             (if sync then "sync " else "")
             key token (str_opt value) (str_opt expected)
       end
   | Kv.Installed { applied; entries; _ } ->
-      Hashtbl.reset sh.sh_store;
-      List.iter (fun (k, v) -> Hashtbl.replace sh.sh_store k v) entries;
+      Stbl.reset sh.sh_store;
+      List.iter (fun (k, v) -> Stbl.replace sh.sh_store k v) entries;
       sh.sh_index <- applied;
       (* A snapshot install re-bases the consistency token: the donor's
          log is authoritative even when shorter than the token a frozen
@@ -122,7 +133,7 @@ let observe t ~node (obs : Kv.observation) =
      the shadow like any other op. *)
   | Kv.Voted _ | Kv.Decided _ | Kv.Skipped _ -> ()
   | Kv.Reset ->
-      Hashtbl.reset sh.sh_store;
+      Stbl.reset sh.sh_store;
       sh.sh_index <- 0;
       sh.sh_token <- 0
 
@@ -131,8 +142,8 @@ let attach t kv =
   Kv.add_observer kv (fun obs -> observe t ~node:(Kv.node kv) obs)
 
 let sorted_entries tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Stbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let check_convergence t kvs =
   List.iter
@@ -141,13 +152,13 @@ let check_convergence t kvs =
       if not (Kv.synced kv) then
         violation t ~node Unsynced "replica not synced at end of run";
       (* Final state must equal the shadow byte for byte. *)
-      match Hashtbl.find_opt t.shadows node with
+      match find_shadow t node with
       | Some sh ->
           if sorted_entries sh.sh_store <> Kv.entries kv then
             violation t ~node Divergence
               "final store (%d entries) differs from shadow (%d entries)"
               (Kv.store_size kv)
-              (Hashtbl.length sh.sh_store)
+              (Stbl.length sh.sh_store)
       | None -> ())
     kvs;
   match kvs with

@@ -2,6 +2,7 @@ open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
 module Deque = Aring_util.Deque
+module Stbl = Aring_util.Stbl
 module SSet = Set.Make (String)
 
 type callbacks = {
@@ -28,9 +29,16 @@ type route = {
   joined : SSet.t;  (* sessions whose [s_joined] holds the group *)
   in_table : SSet.t;  (* local sessions whose member name is in the
                          delivered group table *)
+  (* Memoised recipients: the connected sessions named in
+     [joined ∪ in_table], ascending by name. Valid while [memo_gen]
+     equals the daemon's [session_gen]; every route update stores a
+     record with [memo_gen = -1]. *)
+  mutable memo : session list;
+  mutable memo_gen : int;
 }
 
-let empty_route = { joined = SSet.empty; in_table = SSet.empty }
+let empty_route =
+  { joined = SSet.empty; in_table = SSet.empty; memo = []; memo_gen = -1 }
 
 type stats = {
   mutable client_deliveries : int;
@@ -43,12 +51,15 @@ type t = {
   member : Member.t;
   me : Types.pid;
   groups : Groups.t;
-  sessions : (string, session) Hashtbl.t;
+  sessions : session Stbl.t;
+  (* Bumped by every connect and disconnect, invalidating every route's
+     memoised recipients. *)
+  mutable session_gen : int;
   (* Group -> route, kept up to date wherever membership changes (the
      local join/leave/disconnect calls and every applied Join, Leave or
      prune), so routing never scans the sessions. Groups with an empty
      route are absent. *)
-  routes : (string, route) Hashtbl.t;
+  routes : route Stbl.t;
   (* "#<me>": the suffix of every member name this daemon hosts. *)
   member_suffix : string;
   stats : stats;
@@ -75,8 +86,9 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
     member;
     me;
     groups = Groups.create ();
-    sessions = Hashtbl.create 8;
-    routes = Hashtbl.create 16;
+    sessions = Stbl.create 8;
+    session_gen = 0;
+    routes = Stbl.create 16;
     member_suffix = Printf.sprintf "#%d" me;
     stats =
       {
@@ -113,13 +125,16 @@ let group_members t group = Groups.members t.groups group
 let session_member_name _t s = s.s_member
 
 let find_route t group =
-  Option.value ~default:empty_route (Hashtbl.find_opt t.routes group)
+  Option.value ~default:empty_route (Stbl.find_opt t.routes group)
 
 let update_route t group f =
   let r = f (find_route t group) in
   if SSet.is_empty r.joined && SSet.is_empty r.in_table then
-    Hashtbl.remove t.routes group
-  else Hashtbl.replace t.routes group r
+    Stbl.remove t.routes group
+  else begin
+    r.memo_gen <- -1;
+    Stbl.replace t.routes group r
+  end
 
 let update_joined t group f name =
   update_route t group (fun r -> { r with joined = f name r.joined })
@@ -137,10 +152,19 @@ let local_session_name t member =
 
 (* The connected sessions behind [names], in ascending name order. *)
 let sessions_of t names =
-  List.filter_map (Hashtbl.find_opt t.sessions) (SSet.elements names)
+  List.filter_map (Stbl.find_opt t.sessions) (SSet.elements names)
+
+(* The sessions union routing sends [r]'s group to, resolved once per
+   route update or session-table change. *)
+let route_recipients t r =
+  if r.memo_gen <> t.session_gen then begin
+    r.memo <- sessions_of t (SSet.union r.joined r.in_table);
+    r.memo_gen <- t.session_gen
+  end;
+  r.memo
 
 let connect t ~name callbacks =
-  if Hashtbl.mem t.sessions name then
+  if Stbl.mem t.sessions name then
     invalid_arg (Printf.sprintf "Daemon.connect: session %S already exists" name);
   let s =
     {
@@ -152,7 +176,8 @@ let connect t ~name callbacks =
       s_inbox = None;
     }
   in
-  Hashtbl.replace t.sessions name s;
+  Stbl.replace t.sessions name s;
+  t.session_gen <- t.session_gen + 1;
   s
 
 let set_slow_receiver _t s slow =
@@ -267,7 +292,8 @@ let disconnect t s =
     s.s_open <- false;
     (* Undrained slow-receiver messages die with the connection. *)
     (match s.s_inbox with Some q -> Deque.clear q | None -> ());
-    Hashtbl.remove t.sessions s.s_name
+    Stbl.remove t.sessions s.s_name;
+    t.session_gen <- t.session_gen + 1
   end
 
 let multicast t s ?(service = Types.Agreed) ~groups payload =
@@ -296,13 +322,21 @@ let rec apply_envelope t (d : Message.data) env =
          rejoining session never misses a message ordered before its
          re-announced Join lands) or the delivered-join table (effective
          until the ordered Leave lands) says it belongs. The routes hold
-         exactly those names. *)
-      let names =
-        List.fold_left
-          (fun acc g ->
-            let r = find_route t g in
-            SSet.union acc (SSet.union r.joined r.in_table))
-          SSet.empty groups
+         exactly those names; a single-group envelope (every KV op) reads
+         its route's memoised recipients. *)
+      let recipients =
+        match groups with
+        | [ g ] -> (
+            match Stbl.find_opt t.routes g with
+            | Some r -> route_recipients t r
+            | None -> [])
+        | _ ->
+            sessions_of t
+              (List.fold_left
+                 (fun acc g ->
+                   let r = find_route t g in
+                   SSet.union acc (SSet.union r.joined r.in_table))
+                 SSet.empty groups)
       in
       List.map
         (fun s ->
@@ -314,7 +348,7 @@ let rec apply_envelope t (d : Message.data) env =
           | Some q -> Deque.push_back q (sender, groups, d.service, payload)
           | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
           Participant.Deliver d)
-        (sessions_of t names)
+        recipients
   | Envelope.Join { member; group } ->
       (match Groups.join t.groups ~group ~member with
       | Some members ->
@@ -365,7 +399,7 @@ let handle_view t (v : Participant.view) =
           update_route t group (fun r -> { r with in_table = SSet.empty });
         notify_group_view t group members)
       changed;
-    Hashtbl.iter
+    Stbl.iter
       (fun _ s ->
         List.iter
           (fun group ->

@@ -1,31 +1,32 @@
 module S = Set.Make (String)
+module Stbl = Aring_util.Stbl
 
 (* Each group keeps its members twice: as a balanced set for O(log n)
    membership tests and updates, and as the sorted list {!members} hands
    out (rebuilt only when the group changes, and returned by [join] /
    [leave] anyway). *)
 type group = { set : S.t; sorted : string list }
-type t = (string, group) Hashtbl.t
+type t = group Stbl.t
 
-let create () = Hashtbl.create 16
+let create () = Stbl.create 16
 
 let members t group =
-  match Hashtbl.find_opt t group with Some g -> g.sorted | None -> []
+  match Stbl.find_opt t group with Some g -> g.sorted | None -> []
 
-let group_names t = Hashtbl.fold (fun g _ acc -> g :: acc) t []
+let group_names t = Stbl.fold (fun g _ acc -> g :: acc) t []
 
 let set_of t group =
-  match Hashtbl.find_opt t group with Some g -> g.set | None -> S.empty
+  match Stbl.find_opt t group with Some g -> g.set | None -> S.empty
 
 (* Store [set] and return its sorted view. *)
 let store t group set =
   if S.is_empty set then begin
-    Hashtbl.remove t group;
+    Stbl.remove t group;
     []
   end
   else begin
     let sorted = S.elements set in
-    Hashtbl.replace t group { set; sorted };
+    Stbl.replace t group { set; sorted };
     sorted
   end
 

@@ -1,4 +1,5 @@
 module Prng = Aring_util.Prng
+module Fnv = Aring_util.Fnv
 module Checker = Aring_obs.Checker
 module Trace = Aring_obs.Trace
 module Trace_json = Aring_obs.Trace_json
@@ -57,18 +58,6 @@ let failure_label = function
   | Run_exception _ -> "exception"
 
 let ms n = n * 1_000_000
-
-(* FNV-1a, 64-bit, over the JSONL rendering of each trace event. *)
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
 
 let probe_payload node = Printf.sprintf "probe:%d" node
 
@@ -379,10 +368,11 @@ let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
   let pid ~ring ~node = (ring * n) + node in
   let all_rings = List.init rings Fun.id in
   let checker = Checker.create () in
-  let hash = ref fnv_offset in
+  (* FNV-1a, 64-bit, over the JSONL rendering of each trace event. *)
+  let hash = ref Fnv.offset in
   let hash_sink =
     Trace.fn_sink (fun ev ->
-        hash := fnv_string (fnv_string !hash (Trace_json.to_line ev)) "\n")
+        hash := Fnv.string (Fnv.string !hash (Trace_json.to_line ev)) "\n")
   in
   let deliveries = ref 0 in
   let views = ref 0 in

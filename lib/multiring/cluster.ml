@@ -66,16 +66,9 @@ let alive t ~node = t.alive_phys.(node)
 
 (* --- shard map -------------------------------------------------------- *)
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
 let shard_of_key t key =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    key;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFL) mod t.rings
+  let h = Aring_util.Fnv.(string offset key) in
+  Int64.to_int (Int64.logand h 0x3FFFFFFFL) mod t.rings
 
 (* --- coordinator ------------------------------------------------------ *)
 
@@ -479,26 +472,29 @@ let crash t ~node =
 let kv_converged t =
   let alive = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.alive_phys in
   let primary = 2 * alive > t.nodes in
-  let ok = ref true in
-  for r = 0 to t.rings - 1 do
-    let survivors = ref [] in
-    for i = t.nodes - 1 downto 0 do
-      if t.alive_phys.(i) then survivors := kv t ~ring:r ~node:i :: !survivors
-    done;
-    (match !survivors with
-    | [] -> ()
+  let quiet k =
+    Kv.settled k && Kv.synced k && not (primary && Kv.mcas_parked k)
+  in
+  (* Digests are compared last and each computed once: one is a pass
+     over the whole store. *)
+  let ring_converged r =
+    let survivors =
+      List.filter_map
+        (fun i -> if t.alive_phys.(i) then Some (kv t ~ring:r ~node:i) else None)
+        (List.init t.nodes Fun.id)
+    in
+    match survivors with
+    | [] | [ _ ] -> List.for_all quiet survivors
     | first :: rest ->
-        if not (Kv.settled first && Kv.synced first) then ok := false;
-        if primary && Kv.mcas_parked first then ok := false;
-        List.iter
-          (fun k ->
-            if not (Kv.settled k && Kv.synced k) then ok := false;
-            if primary && Kv.mcas_parked k then ok := false;
-            if Kv.applied k <> Kv.applied first || Kv.digest k <> Kv.digest first
-            then ok := false)
-          rest)
-  done;
-  !ok
+        let a0 = Kv.applied first in
+        List.for_all quiet survivors
+        && List.for_all (fun k -> Kv.applied k = a0) rest
+        &&
+        let d0 = Kv.digest first in
+        List.for_all (fun k -> Int64.equal (Kv.digest k) d0) rest
+  in
+  let rec from r = r >= t.rings || (ring_converged r && from (r + 1)) in
+  from 0
 
 (* Every delivered item has drained through every survivor's merge —
    nothing is stuck behind a silent ring. Merged-stream *lengths* are

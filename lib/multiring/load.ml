@@ -5,6 +5,7 @@ module Kv = Aring_app.Kv
 module Op = Aring_app.Op
 module Prng = Aring_util.Prng
 module Stats = Aring_util.Stats
+module Stbl = Aring_util.Stbl
 module Metrics = Aring_obs.Metrics
 module Span = Aring_obs.Span
 module Scenario = Aring_harness.Scenario
@@ -271,7 +272,7 @@ let run spec =
   (* Submit times of tracked in-flight writes, per submitting node, keyed
      by the unique value string the op carries. A write completes when
      it emerges in its submitting node's merged stream. *)
-  let in_flight = Array.init n (fun _ -> Hashtbl.create 1024) in
+  let in_flight = Array.init n (fun _ -> Stbl.create 1024) in
   Cluster.on_merged cluster (fun ~node ~ring (it : Cluster.merged_item) ->
       let now = Netsim.now sim in
       if node = 0 then begin
@@ -286,9 +287,9 @@ let run spec =
       end;
       match it.mi_op with
       | Op.Put { value; _ } | Op.Cas { value; _ } -> (
-          match Hashtbl.find_opt in_flight.(node) value with
+          match Stbl.find_opt in_flight.(node) value with
           | Some t0 ->
-              Hashtbl.remove in_flight.(node) value;
+              Stbl.remove in_flight.(node) value;
               decr in_flight_total;
               let us = float_of_int (now - t0) /. 1e3 in
               Stats.add write_latency us;
@@ -382,7 +383,7 @@ let run spec =
       let value =
         pad (Printf.sprintf "%s:%d:%d:" tag ss.id ss.counter) (draw_value_bytes ())
       in
-      Hashtbl.replace in_flight.(node) value now;
+      Stbl.replace in_flight.(node) value now;
       incr in_flight_total;
       value
     in

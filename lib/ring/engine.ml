@@ -60,7 +60,11 @@ type t = {
   ring : Types.pid array;
   me : Types.pid;
   my_pos : int;
-  buffer : (Types.seqno, Message.data) Hashtbl.t;
+  (* The receive window (see [find]): slot [seq land (cap - 1)] holds
+     the retained message [seq] for seqs in
+     (discard_floor, discard_floor + cap]; empty slots hold [no_message]. *)
+  mutable window : Message.data array;
+  mutable buffered : int;  (* live slots *)
   pending : pending Queue.t;
   mutable round : Types.round;
   mutable last_token_id : int;
@@ -94,6 +98,68 @@ let position ring pid =
   in
   loop 0
 
+(* --- receive window ---------------------------------------------------- *)
+
+(* Receive-window sentinel. A window lookup is one masked array load and
+   an int compare: no hashing, no bucket chain, no option. An empty slot
+   holds [no_message], whose seq (-1) no real message has (seqs start at
+   1). *)
+let no_message : Message.data =
+  {
+    d_ring = { rep = -1; ring_seq = -1 };
+    seq = -1;
+    pid = -1;
+    d_round = -1;
+    post_token = false;
+    service = Types.Agreed;
+    payload = Bytes.empty;
+  }
+
+(* Power of two. The window doubles when a seq lands beyond its end. *)
+let initial_window = 1024
+
+(* The retained message [seq], or [no_message]. Seqs at or below the
+   discard floor were collected; every retained seq lies within one
+   window length above it, so its slot can hold no other. *)
+let find t seq =
+  if seq <= t.discard_floor then no_message
+  else
+    let d = Array.unsafe_get t.window (seq land (Array.length t.window - 1)) in
+    if d.seq = seq then d else no_message
+
+let mem t seq = find t seq != no_message
+
+(* Double the window, re-slotting every retained message. *)
+let grow t =
+  let cap = 2 * Array.length t.window in
+  let w = Array.make cap no_message in
+  Array.iter
+    (fun (d : Message.data) -> if d != no_message then w.(d.seq land (cap - 1)) <- d)
+    t.window;
+  t.window <- w
+
+(* Retain [d]; its seq is above the discard floor (the dup check, or a
+   fresh seq above the token's). *)
+let store t (d : Message.data) =
+  while d.seq - t.discard_floor > Array.length t.window do
+    grow t
+  done;
+  let i = d.seq land (Array.length t.window - 1) in
+  if t.window.(i) == no_message then t.buffered <- t.buffered + 1;
+  t.window.(i) <- d
+
+(* Drop every retained message up to [floor]. *)
+let discard_through t floor =
+  let mask = Array.length t.window - 1 in
+  for seq = t.discard_floor + 1 to floor do
+    let i = seq land mask in
+    if t.window.(i).seq = seq then begin
+      t.window.(i) <- no_message;
+      t.buffered <- t.buffered - 1
+    end
+  done;
+  t.discard_floor <- floor
+
 let create ~params ~ring_id ~ring ~me =
   (match Params.validate params with
   | Ok () -> ()
@@ -109,7 +175,8 @@ let create ~params ~ring_id ~ring ~me =
     ring = Array.copy ring;
     me;
     my_pos;
-    buffer = Hashtbl.create 1024;
+    window = Array.make initial_window no_message;
+    buffered = 0;
     pending = Queue.create ();
     round = 0;
     last_token_id = -1;
@@ -168,9 +235,13 @@ let delivered_upto t = t.delivered
 let safe_line t = t.safe_line
 let high_seq t = t.high_seq
 let pending_count t = Queue.length t.pending
-let buffered_count t = Hashtbl.length t.buffer
+let buffered_count t = t.buffered
 let stats t = t.stats
-let buffered_message t seq = Hashtbl.find_opt t.buffer seq
+
+let buffered_message t seq =
+  let d = find t seq in
+  if d == no_message then None else Some d
+
 let accelerated_window t = t.accelerated_window
 
 (* Clamp to the personal window: more than personal_window post-token
@@ -182,13 +253,15 @@ let set_accelerated_window t w =
 let last_round_signals t = t.last_signals
 
 let undelivered_after_cursor t =
-  Hashtbl.fold
-    (fun seq d acc -> if seq > t.delivered then d :: acc else acc)
-    t.buffer []
-  |> List.sort (fun (a : Message.data) b -> compare a.seq b.seq)
+  let acc = ref [] in
+  for seq = t.discard_floor + Array.length t.window downto t.delivered + 1 do
+    let d = find t seq in
+    if d != no_message then acc := d :: !acc
+  done;
+  !acc
 
 let advance_local_aru t =
-  while Hashtbl.mem t.buffer (t.local_aru + 1) do
+  while mem t (t.local_aru + 1) do
     t.local_aru <- t.local_aru + 1
   done
 
@@ -200,20 +273,19 @@ let advance_local_aru t =
 let deliver_ready_into t tail =
   let rec loop acc =
     let next = t.delivered + 1 in
-    match Hashtbl.find_opt t.buffer next with
-    | None -> List.rev_append acc tail
-    | Some d ->
-        if Types.service_requires_stability d.service && next > t.safe_line
-        then List.rev_append acc tail
-        else begin
-          t.delivered <- next;
-          t.stats.delivered <- t.stats.delivered + 1;
-          Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid
-            ~c:0 ~d:0;
-          Span.note_delivered ~node:t.me ~sender:d.pid ~seq:next;
-          Health.note_delivery ();
-          loop (Deliver d :: acc)
-        end
+    let d = find t next in
+    if d == no_message then List.rev_append acc tail
+    else if Types.service_requires_stability d.service && next > t.safe_line
+    then List.rev_append acc tail
+    else begin
+      t.delivered <- next;
+      t.stats.delivered <- t.stats.delivered + 1;
+      Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid ~c:0
+        ~d:0;
+      Span.note_delivered ~node:t.me ~sender:d.pid ~seq:next;
+      Health.note_delivery ();
+      loop (Deliver d :: acc)
+    end
   in
   loop []
 
@@ -223,12 +295,7 @@ let deliver_ready t = deliver_ready_into t []
    received by every participant: they can never be requested again. *)
 let collect_garbage t =
   let floor = min t.safe_line t.delivered in
-  if floor > t.discard_floor then begin
-    for seq = t.discard_floor + 1 to floor do
-      Hashtbl.remove t.buffer seq
-    done;
-    t.discard_floor <- floor
-  end
+  if floor > t.discard_floor then discard_through t floor
 
 (* Progress evidence: data initiated in a later round, or in the current
    round by a participant downstream of us, proves the token we forwarded
@@ -243,7 +310,7 @@ let is_progress_evidence t (d : Message.data) =
 
 let handle_data t (d : Message.data) =
   if is_progress_evidence t d then t.progress_gen <- t.progress_gen + 1;
-  let dup = d.seq <= t.discard_floor || Hashtbl.mem t.buffer d.seq in
+  let dup = d.seq <= t.discard_floor || mem t d.seq in
   Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid
     ~c:(if dup then 1 else 0) ~d:0;
   if Trace.enabled () then
@@ -254,7 +321,7 @@ let handle_data t (d : Message.data) =
     []
   end
   else begin
-    Hashtbl.replace t.buffer d.seq d;
+    store t d;
     if d.seq > t.high_seq then t.high_seq <- d.seq;
     advance_local_aru t;
     deliver_ready t
@@ -272,7 +339,7 @@ let missing_requests t ~cap ~already =
       | a :: rest when a < seq -> loop seq budget rest acc
       | a :: rest when a = seq -> loop (seq + 1) budget rest acc
       | _ ->
-          if Hashtbl.mem t.buffer seq then loop (seq + 1) budget already acc
+          if mem t seq then loop (seq + 1) budget already acc
           else loop (seq + 1) (budget - 1) already (seq :: acc)
   in
   loop (t.local_aru + 1) max_rtr_per_round already []
@@ -323,23 +390,24 @@ let handle_token t (tok : Message.token) =
       match rtr with
       | [] -> (rev_sends, num, List.rev kept_rev)
       | seq :: rest -> (
-          match Hashtbl.find_opt t.buffer seq with
-          | Some d ->
-              t.stats.retrans_sent <- t.stats.retrans_sent + 1;
-              Flight.record ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-                ~b:0 ~c:1 ~d:0;
-              if Trace.enabled () then
-                Trace.emit ~node:t.me
-                  (Trace.Data_send
-                     {
-                       ring = t.ring_id;
-                       seq = d.seq;
-                       size = Message.wire_size (Message.Data d);
-                       post_token = false;
-                       retrans = true;
-                     });
-              scan_rtr rest (Send_data d :: rev_sends) (num + 1) kept_rev
-          | None -> scan_rtr rest rev_sends num (seq :: kept_rev))
+          let d = find t seq in
+          if d == no_message then scan_rtr rest rev_sends num (seq :: kept_rev)
+          else begin
+            t.stats.retrans_sent <- t.stats.retrans_sent + 1;
+            Flight.record ~node:t.me ~code:Flight.ev_data_send ~a:d.seq ~b:0
+              ~c:1 ~d:0;
+            if Trace.enabled () then
+              Trace.emit ~node:t.me
+                (Trace.Data_send
+                   {
+                     ring = t.ring_id;
+                     seq = d.seq;
+                     size = Message.wire_size (Message.Data d);
+                     post_token = false;
+                     retrans = true;
+                   });
+            scan_rtr rest (Send_data d :: rev_sends) (num + 1) kept_rev
+          end)
     in
     let rev_retrans, num_retrans, kept_rtr = scan_rtr tok.rtr [] 0 [] in
     (* Backlog as the token arrives — the round's arrival count, which is
@@ -384,7 +452,7 @@ let handle_token t (tok : Message.token) =
         }
       in
       (* We trivially "have" our own message the moment it exists. *)
-      Hashtbl.replace t.buffer d.seq d;
+      store t d;
       t.stats.new_sent <- t.stats.new_sent + 1;
       if p.p_submit_ns > 0 then
         Span.note_ordered ~sender:t.me ~seq:d.seq ~submit_ns:p.p_submit_ns;

@@ -459,6 +459,31 @@ let test_kv_scenario_partition () =
   check Alcotest.bool "converged" true r.Load.converged;
   check Alcotest.bool "state transfer happened" true (r.Load.installs >= 1)
 
+(* [Kv.digest] is what replicas compare on election and convergence, so
+   its value must not move. Pinned over a fixed store, then with an
+   undecided mcas parked (its vote in the table, one write queued behind
+   it); no coordinator runs here, so the park stays. *)
+let test_digest_pinned () =
+  let c = make_kcluster () in
+  let entries =
+    [ ("alpha", "1"); ("beta", String.make 300 'b'); ("", "empty key");
+      ("k\x00z", ""); ("\xff\xfe", "high bytes") ]
+  in
+  Array.iter (fun kv -> Kv.preload kv entries) c.kvs;
+  check Alcotest.int64 "store digest" 0xd8286e1b0b00f618L (Kv.digest c.kvs.(0));
+  Netsim.run_until c.sim (ms 20);
+  Kv.submit_mcas c.kvs.(0) ~id:"m1"
+    ~parts:
+      [ { Op.mp_ring = 0; mp_checks = [ ("alpha", Some "1"); ("zeta", None) ];
+          mp_writes = [ ("alpha", "2") ] } ];
+  Kv.put c.kvs.(1) ~key:"beta" ~value:"queued";
+  Netsim.run_until c.sim (ms 40);
+  check Alcotest.bool "parked" true (Kv.mcas_parked c.kvs.(0));
+  check Alcotest.int64 "parked digest" 0x86049c6838970ff1L (Kv.digest c.kvs.(0));
+  Array.iter
+    (fun kv -> check Alcotest.int64 "replicas agree" (Kv.digest c.kvs.(0)) (Kv.digest kv))
+    c.kvs
+
 let suite =
   [
     Alcotest.test_case "op codec roundtrips" `Quick test_op_roundtrips;
@@ -488,4 +513,5 @@ let suite =
     Alcotest.test_case "kv scenario smoke" `Quick test_kv_scenario_smoke;
     Alcotest.test_case "kv scenario with partition" `Quick
       test_kv_scenario_partition;
+    Alcotest.test_case "digest pinned" `Quick test_digest_pinned;
   ]

@@ -788,6 +788,202 @@ let prop_total_order_any_windows =
         (fun i -> Toy_net.delivered_seqs net i = expected)
         (List.init n (fun i -> i)))
 
+(* -------------------------------------------------------------------- *)
+(* Receive window                                                        *)
+
+let data_at ?(service = Types.Agreed) seq : Message.data =
+  {
+    d_ring = rid;
+    seq;
+    pid = 1;
+    d_round = 0;
+    post_token = false;
+    service;
+    payload = Bytes.of_string (string_of_int seq);
+  }
+
+(* A token from the predecessor. [t_seq = aru] makes the receiver raise
+   the aru to its own local aru, so two such tokens move the stability
+   line (and the discard floor) up to what it holds. *)
+let token_at ~id ~seq ~aru ~rtr : Message.token =
+  { t_ring = rid; token_id = id; t_round = 0; t_seq = seq; aru; aru_id = None;
+    fcc = 0; rtr }
+
+let test_window_grows_keeping_messages () =
+  let eng =
+    Engine.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring:[| 0; 1 |]
+      ~me:0
+  in
+  let recv d = Engine.handle eng (Engine.Data_received d) in
+  for seq = 1 to 700 do
+    ignore (recv (data_at seq))
+  done;
+  List.iter
+    (fun id ->
+      ignore
+        (Engine.handle eng
+           (Engine.Token_received (token_at ~id ~seq:700 ~aru:700 ~rtr:[]))))
+    [ 1; 3 ];
+  check Alcotest.int "floor at 700, all collected" 0 (Engine.buffered_count eng);
+  (* 701 missing: 702..1724 fill the 1024 slots above the floor,
+     wrapping around the array; 1725 lies beyond it and forces a grow. *)
+  let kept = List.init 1024 (fun i -> data_at (702 + i)) in
+  List.iter (fun d -> check Alcotest.int "nothing delivered" 0 (List.length (recv d))) kept;
+  check Alcotest.int "all retained" 1024 (Engine.buffered_count eng);
+  List.iter
+    (fun (d : Message.data) ->
+      check Alcotest.bool (Printf.sprintf "seq %d survives the grow" d.seq) true
+        (match Engine.buffered_message eng d.seq with
+        | Some d' -> d' == d
+        | None -> false))
+    kept;
+  check Alcotest.bool "collected seq absent" true
+    (Engine.buffered_message eng 700 = None);
+  check (Alcotest.list Alcotest.int) "undelivered ascending"
+    (List.init 1024 (fun i -> 702 + i))
+    (List.map (fun (d : Message.data) -> d.seq) (Engine.undelivered_after_cursor eng));
+  check Alcotest.int "gap filled: 1025 delivered" 1025
+    (List.length (delivers_of (recv (data_at 701))));
+  check Alcotest.int "cursor at 1725" 1725 (Engine.delivered_upto eng)
+
+(* One step of the window model. Offsets are relative to the engine's
+   delivery cursor or local aru at the time the step runs. *)
+type window_step =
+  | Recv of int * bool  (* cursor + offset (<= 0: a duplicate); Safe? *)
+  | Fill of int * bool  (* every missing seq in (local_aru, local_aru + n] *)
+  | Tok of int * bool * int list
+      (* submissions, raise the stability line?, rtr offsets above the floor *)
+
+let window_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun o s -> Recv (o, s)) (int_range (-30) 12) (map (( = ) 0) (int_bound 4)));
+        (1, map2 (fun o s -> Recv (o, s)) (int_range 13 2500) (map (( = ) 0) (int_bound 4)));
+        (3, map2 (fun n s -> Fill (n, s)) (int_range 1 150) (map (( = ) 0) (int_bound 6)));
+        ( 3,
+          map3
+            (fun k up rtr -> Tok (k, up, List.sort_uniq compare rtr))
+            (int_bound 40) bool
+            (list_size (int_bound 6) (int_range 1 1200)) );
+      ])
+
+let pp_window_step = function
+  | Recv (o, s) -> Printf.sprintf "Recv(%d,%b)" o s
+  | Fill (n, s) -> Printf.sprintf "Fill(%d,%b)" n s
+  | Tok (k, up, rtr) ->
+      Printf.sprintf "Tok(%d,%b,[%s])" k up
+        (String.concat ";" (List.map string_of_int rtr))
+
+(* Run [steps] against one engine and a Hashtbl holding what the window
+   must hold: everything received or sent above the discard floor. *)
+let window_matches_model steps =
+  let params =
+    { (Params.accelerated ~personal_window:40 ~global_window:400 ()) with
+      max_seq_gap = 1_000_000 }
+  in
+  let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
+  let model : (int, Message.data) Hashtbl.t = Hashtbl.create 64 in
+  let floor = ref 0 and top = ref 0 and next_id = ref 1 and ok = ref true in
+  let wrapped = ref false and grew = ref false in
+  let expect what b = if not b then (ok := false; QCheck.Test.fail_reportf "%s" what) in
+  let keep (d : Message.data) =
+    Hashtbl.replace model d.seq d;
+    top := max !top d.seq;
+    (* Slot [seq land 1023] of the initial array is no longer [seq]; a
+       seq this far above the floor does not fit 1024 slots. *)
+    if d.seq > 1024 then wrapped := true;
+    if d.seq - !floor > 1024 then grew := true
+  in
+  let recv (d : Message.data) =
+    let dup = d.seq <= !floor || Hashtbl.mem model d.seq in
+    let before = (Engine.stats eng).dup_data in
+    ignore (Engine.handle eng (Engine.Data_received d));
+    expect (Printf.sprintf "dup detection at seq %d" d.seq)
+      ((Engine.stats eng).dup_data - before = if dup then 1 else 0);
+    if not dup then keep d
+  in
+  let service safe = if safe then Types.Safe else Types.Agreed in
+  let run_step = function
+    | Recv (off, safe) ->
+        let seq = Engine.delivered_upto eng + off in
+        if seq > 0 then recv (data_at ~service:(service safe) seq)
+    | Fill (n, safe) ->
+        let aru = Engine.local_aru eng in
+        for seq = aru + 1 to aru + n do
+          if not (Hashtbl.mem model seq) then
+            recv (data_at ~service:(service safe) seq)
+        done
+    | Tok (k, up, rtr) ->
+        for i = 1 to k do
+          ignore (Engine.handle eng (Engine.Submit (Types.Agreed, payload i)))
+        done;
+        let t_seq = Engine.high_seq eng in
+        let aru = if up then t_seq else min (Engine.local_aru eng) (max 0 (t_seq - 1)) in
+        let rtr = List.map (fun o -> !floor + o) rtr in
+        let answerable = List.filter (Hashtbl.mem model) rtr in
+        let out =
+          Engine.handle eng
+            (Engine.Token_received (token_at ~id:!next_id ~seq:t_seq ~aru ~rtr))
+        in
+        next_id := !next_id + 2;
+        let sent = datas_of out in
+        let answered, fresh =
+          List.partition (fun (d : Message.data) -> d.seq <= t_seq) sent
+        in
+        expect "rtr answered from the window"
+          (List.map (fun (d : Message.data) -> d.seq) answered = answerable);
+        List.iter keep fresh;
+        let f = min (Engine.safe_line eng) (Engine.delivered_upto eng) in
+        if f > !floor then begin
+          floor := f;
+          Hashtbl.filter_map_inplace
+            (fun seq d -> if seq <= f then None else Some d)
+            model
+        end
+  in
+  List.iter
+    (fun step ->
+      if !ok then begin
+        run_step step;
+        expect "buffered_count" (Engine.buffered_count eng = Hashtbl.length model);
+        for seq = max 0 (!floor - 3) to !top + 2 do
+          let same =
+            match (Engine.buffered_message eng seq, Hashtbl.find_opt model seq) with
+            | None, None -> true
+            | Some a, Some b -> a == b
+            | _ -> false
+          in
+          if not same then expect (Printf.sprintf "buffered_message %d" seq) false
+        done;
+        let cursor = Engine.delivered_upto eng in
+        let expected =
+          Hashtbl.fold (fun seq _ acc -> if seq > cursor then seq :: acc else acc) model []
+          |> List.sort compare
+        in
+        expect "undelivered_after_cursor"
+          (List.map (fun (d : Message.data) -> d.seq) (Engine.undelivered_after_cursor eng)
+          = expected)
+      end)
+    steps;
+  expect "schedule wrapped the array and grew it" (!wrapped && !grew);
+  !ok
+
+let prop_window_matches_model =
+  QCheck.Test.make ~name:"receive window matches a Hashtbl model" ~count:30
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat " " (List.map pp_window_step l))
+        Gen.(list_size (int_range 100 300) window_step_gen))
+    (fun steps ->
+      (* A fixed tail makes every case wrap and grow, whatever the random
+         steps did: fill every gap, raise the stability line twice (the
+         floor follows), then receive a seq 1500 above the cursor. *)
+      window_matches_model
+        (steps
+        @ [ Fill (3000, false); Tok (0, true, []); Tok (0, true, []);
+            Recv (1500, false) ]))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -820,8 +1016,10 @@ let suite =
     ("drain_pending", `Quick, test_drain_pending);
     ("aru_id set and cleared", `Quick, test_aru_id_set_and_cleared);
     ("deliveries strictly ascending", `Quick, test_deliveries_strictly_ascending);
+    ("window grows keeping messages", `Quick, test_window_grows_keeping_messages);
     qtest prop_total_order_under_loss;
     qtest prop_safe_never_outruns_stability;
     qtest prop_both_protocols_agree;
     qtest prop_total_order_any_windows;
+    qtest prop_window_matches_model;
   ]

@@ -4,6 +4,7 @@ module Heap = Aring_util.Heap
 module Deque = Aring_util.Deque
 module Stats = Aring_util.Stats
 module Prng = Aring_util.Prng
+module Stbl = Aring_util.Stbl
 
 let check = Alcotest.check
 
@@ -485,6 +486,53 @@ let test_deque_push_front_wrap_growth () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* -------------------------------------------------------------------- *)
+(* Stbl                                                                  *)
+
+type tbl_op = T_replace of string * int | T_add of string * int | T_remove of string
+
+let tbl_op_gen =
+  QCheck.Gen.(
+    (* A small key pool forces replaces, removes and duplicate adds of
+       live keys; long runs force resizes. *)
+    let key = map (Printf.sprintf "k%d") (int_bound 150) in
+    frequency
+      [
+        (5, map2 (fun k v -> T_replace (k, v)) key nat);
+        (2, map2 (fun k v -> T_add (k, v)) key nat);
+        (3, map (fun k -> T_remove k) key);
+      ])
+
+let tbl_op_print = function
+  | T_replace (k, v) -> Printf.sprintf "replace %s %d" k v
+  | T_add (k, v) -> Printf.sprintf "add %s %d" k v
+  | T_remove k -> Printf.sprintf "remove %s" k
+
+(* Callers rely on this: re-announcing sessions and pruning groups walk
+   their tables, and the walk order is ordered traffic. *)
+let prop_stbl_order_matches_hashtbl =
+  QCheck.Test.make ~name:"Stbl folds and iterates like Hashtbl" ~count:200
+    QCheck.(
+      pair (oneofl [ 1; 8; 16; 64 ])
+        (make
+           ~print:(fun l -> String.concat "; " (List.map tbl_op_print l))
+           Gen.(list_size (int_bound 600) tbl_op_gen)))
+    (fun (size, ops) ->
+      let s = Stbl.create size and h = Hashtbl.create size in
+      List.iter
+        (function
+          | T_replace (k, v) -> Stbl.replace s k v; Hashtbl.replace h k v
+          | T_add (k, v) -> Stbl.add s k v; Hashtbl.add h k v
+          | T_remove k -> Stbl.remove s k; Hashtbl.remove h k)
+        ops;
+      let fold_s = Stbl.fold (fun k v acc -> (k, v) :: acc) s [] in
+      let fold_h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+      let iter_s = ref [] and iter_h = ref [] in
+      Stbl.iter (fun k v -> iter_s := (k, v) :: !iter_s) s;
+      Hashtbl.iter (fun k v -> iter_h := (k, v) :: !iter_h) h;
+      fold_s = fold_h && !iter_s = !iter_h
+      && Stbl.length s = Hashtbl.length h)
+
 let suite =
   [
     ("heap basic", `Quick, test_heap_basic);
@@ -521,4 +569,5 @@ let suite =
     qtest prop_zipf_seed_deterministic;
     ("zipf mass conservation", `Quick, test_zipf_mass_conservation);
     ("zipf invalid args", `Quick, test_zipf_invalid_args);
+    qtest prop_stbl_order_matches_hashtbl;
   ]
