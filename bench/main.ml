@@ -1,6 +1,7 @@
 (* Full reproduction harness: regenerates every figure of the paper's
    evaluation (Section IV) plus the headline numbers, the related-work
-   comparison (Section V), and microbenchmarks of the engine hot paths.
+   comparison (Section V) and the ablations; named suites (hotpath, kv,
+   obs, ...) run one gated benchmark each.
 
    Usage: dune exec bench/main.exe          (full run)
           dune exec bench/main.exe -- quick (coarser grids, for development)
@@ -570,95 +571,6 @@ let ablations () =
   ablation_loss_resilience ();
   ablation_jumbo_frames ();
   ablation_packing ()
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks (Bechamel)                                          *)
-
-let micro () =
-  let open Bechamel in
-  Printf.printf "\n=== Microbenchmarks: engine hot paths (Bechamel) ===\n%!";
-  let rid : Types.ring_id = { rep = 0; ring_seq = 1 } in
-  let bench_codec =
-    let msg =
-      Message.Data
-        {
-          d_ring = rid;
-          seq = 42;
-          pid = 3;
-          d_round = 7;
-          post_token = false;
-          service = Types.Agreed;
-          payload = Bytes.create 1350;
-        }
-    in
-    Test.make ~name:"codec: encode+decode 1350B data"
-      (Staged.stage (fun () -> ignore (Message.decode (Message.encode msg))))
-  in
-  let bench_token =
-    (* One idle token round at a single-participant engine. *)
-    let eng =
-      Engine.create ~params:(Params.accelerated ()) ~ring_id:rid
-        ~ring:[| 0 |] ~me:0
-    in
-    let tok = ref (Engine.initial_token rid) in
-    Test.make ~name:"engine: idle token round"
-      (Staged.stage (fun () ->
-           let outputs = Engine.handle eng (Engine.Token_received !tok) in
-           List.iter
-             (function Engine.Send_token (_, t) -> tok := t | _ -> ())
-             outputs))
-  in
-  let bench_data =
-    let eng =
-      Engine.create ~params:(Params.accelerated ()) ~ring_id:rid
-        ~ring:[| 0; 1 |] ~me:0
-    in
-    let seq = ref 0 in
-    Test.make ~name:"engine: receive one data message"
-      (Staged.stage (fun () ->
-           incr seq;
-           let d : Message.data =
-             {
-               d_ring = rid;
-               seq = !seq;
-               pid = 1;
-               d_round = 1;
-               post_token = false;
-               service = Types.Agreed;
-               payload = Bytes.empty;
-             }
-           in
-           ignore (Engine.handle eng (Engine.Data_received d))))
-  in
-  let bench_heap =
-    Test.make ~name:"heap: push+pop 256 events"
-      (Staged.stage (fun () ->
-           let h = Aring_util.Heap.create ~cmp:compare in
-           for i = 0 to 255 do
-             Aring_util.Heap.push h ((i * 7919) mod 997)
-           done;
-           while not (Aring_util.Heap.is_empty h) do
-             ignore (Aring_util.Heap.pop h)
-           done))
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-    let results = Benchmark.all cfg [ clock ] test in
-    Hashtbl.iter
-      (fun name raw ->
-        let ols =
-          Analyze.one
-            (Analyze.ols ~bootstrap:0 ~r_square:false
-               ~predictors:[| Measure.run |])
-            clock raw
-        in
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Printf.printf "  %-40s %12.1f ns/op\n%!" name est
-        | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
-      results
-  in
-  List.iter benchmark [ bench_codec; bench_token; bench_data; bench_heap ]
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation benchmark (`-- hotpath [quick]`)                 *)
@@ -1357,9 +1269,10 @@ let bench_kv () =
 (* Observability overhead benchmark (`-- obs [quick]`)                  *)
 (* The flight recorder is always on in every run, so its per-event      *)
 (* cost IS protocol overhead: measure ns/event and allocated            *)
-(* bytes/event in steady state (after the per-node rings exist), plus   *)
-(* the disabled-recorder and detached span/health hook costs (a single  *)
-(* ref read each). Emits BENCH_obs.json, gated by bench/obs_budget.json. *)
+(* bytes/event in steady state (after the per-node rings exist), the     *)
+(* same with the health watchdog subscribed, the disabled recorder and  *)
+(* the detached span hook (a single ref read). Emits BENCH_obs.json,    *)
+(* gated by bench/obs_budget.json.                                      *)
 
 let bench_obs () =
   let module Flight = Aring_obs.Flight in
@@ -1399,21 +1312,25 @@ let bench_obs () =
   let disabled_ns = time_per_call ~iters record_event in
   let disabled_alloc = alloc_per_call ~iters record_event in
   Flight.set_enabled true;
-  (* The span/health hooks sit on the engine hot path but are opt-in:
-     detached (the default outside sim/fuzz runs) each is one ref read. *)
+  (* The health watchdog reads the recorder: attached, every record is
+     also handed to its subscriber. *)
+  let watched_ns, watched_alloc =
+    Health.with_health (Health.create ~n:nodes ()) (fun () ->
+        let ns = time_per_call ~iters record_event in
+        (ns, alloc_per_call ~iters record_event))
+  in
+  (* The span hook sits on the engine hot path but is opt-in: detached
+     (the default outside sim/fuzz runs) it is one ref read. *)
   let span_hook () = ignore (Span.submit_stamp ()) in
   let span_ns = time_per_call ~iters span_hook in
   let span_alloc = alloc_per_call ~iters span_hook in
-  let health_hook () = Health.note_delivery () in
-  let health_ns = time_per_call ~iters health_hook in
-  let health_alloc = alloc_per_call ~iters health_hook in
   Printf.printf
     "flight recorder (enabled, warm): %7.1f ns/event  %5.2f bytes/event\n\
+     flight recorder (watchdog):      %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder (disabled):      %7.1f ns/event  %5.2f bytes/event\n\
-     span hook (detached):            %7.1f ns/call   %5.2f bytes/call\n\
-     health hook (detached):          %7.1f ns/call   %5.2f bytes/call\n%!"
-    flight_ns flight_alloc disabled_ns disabled_alloc span_ns span_alloc
-    health_ns health_alloc;
+     span hook (detached):            %7.1f ns/call   %5.2f bytes/call\n%!"
+    flight_ns flight_alloc watched_ns watched_alloc disabled_ns disabled_alloc
+    span_ns span_alloc;
   (* Committed budget gate. *)
   let budget =
     load_budget "bench/obs_budget.json"
@@ -1437,19 +1354,25 @@ let bench_obs () =
       ( flight_alloc <= max_flight_alloc,
         Printf.sprintf "flight %.2f allocated bytes/event above budget %.2f"
           flight_alloc max_flight_alloc );
+      ( watched_ns <= max_flight_ns,
+        Printf.sprintf "flight with watchdog %.1f ns/event above budget %.1f"
+          watched_ns max_flight_ns );
+      ( watched_alloc <= max_flight_alloc,
+        Printf.sprintf
+          "flight with watchdog %.2f allocated bytes/event above budget %.2f"
+          watched_alloc max_flight_alloc );
       ( disabled_ns <= max_disabled_ns,
         Printf.sprintf "disabled recorder %.1f ns/event above budget %.1f"
           disabled_ns max_disabled_ns );
-      ( span_ns <= max_detached_ns && health_ns <= max_detached_ns,
-        Printf.sprintf
-          "detached hook cost (span %.1f / health %.1f ns) above budget %.1f"
-          span_ns health_ns max_detached_ns );
+      ( span_ns <= max_detached_ns,
+        Printf.sprintf "detached span hook %.1f ns above budget %.1f" span_ns
+          max_detached_ns );
     ]
   in
   let doc =
     Json.Obj
       [
-        ("schema", Json.String "aring.bench.obs/1");
+        ("schema", Json.String "aring.bench.obs/2");
         ("mode", Json.String (if quick then "quick" else "full"));
         ("iters", Json.Int iters);
         ( "flight",
@@ -1457,6 +1380,8 @@ let bench_obs () =
             [
               ("ns_per_event", Json.Float flight_ns);
               ("alloc_bytes_per_event", Json.Float flight_alloc);
+              ("watched_ns_per_event", Json.Float watched_ns);
+              ("watched_alloc_bytes_per_event", Json.Float watched_alloc);
               ("disabled_ns_per_event", Json.Float disabled_ns);
               ("disabled_alloc_bytes_per_event", Json.Float disabled_alloc);
               ("capacity_per_node", Json.Int (Flight.capacity ()));
@@ -1466,8 +1391,6 @@ let bench_obs () =
             [
               ("span_ns_per_call", Json.Float span_ns);
               ("span_alloc_bytes_per_call", Json.Float span_alloc);
-              ("health_ns_per_call", Json.Float health_ns);
-              ("health_alloc_bytes_per_call", Json.Float health_alloc);
             ] );
         ( "budget",
           Json.Obj
@@ -1550,7 +1473,6 @@ let bench_recovery () =
           | Message.Data _ -> dst = n - 1
           | _ -> false));
     Netsim.call_at sim ~at:crash_ns (fun () ->
-        Health.note_crash ~node:1;
         Netsim.crash sim 1;
         Netsim.set_drop sim (fun ~src:_ ~dst:_ _ -> false));
     let h = Health.create ~n () in
@@ -2030,5 +1952,4 @@ let () =
   related ();
   related_ring_paxos ();
   ablations ();
-  micro ();
   Printf.printf "\nDone.\n"

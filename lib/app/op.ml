@@ -49,10 +49,6 @@ type t =
           streamed ahead of the snapshot chunks so receivers dedup
           retried Mcas copies and reconstruct an undecided park. *)
 
-let is_write = function
-  | Put _ | Del _ | Cas _ | Mcas _ | Mdecide _ -> true
-  | Sync_read _ | Hello _ | Chunk _ | Skip _ | Mcas_table _ -> false
-
 let write_key = function
   | Put { key; _ } | Del { key } | Cas { key; _ } -> Some key
   | Sync_read _ | Hello _ | Chunk _ | Mcas _ | Mdecide _ | Skip _

@@ -8,15 +8,6 @@ type t =
   | Kv_skip_apply of { node : int; every : int }
   | Recovery_flood
 
-let label = function
-  | Clean -> "clean"
-  | Skip_delivery { node; every } ->
-      Printf.sprintf "skip-delivery(node=%d,every=%d)" node every
-  | Skip_retransmission -> "skip-retransmission"
-  | Kv_skip_apply { node; every } ->
-      Printf.sprintf "kv-skip-apply(node=%d,every=%d)" node every
-  | Recovery_flood -> "recovery-flood"
-
 let of_string = function
   | "clean" -> Ok Clean
   | "skip-delivery" -> Ok (Skip_delivery { node = 0; every = 10 })

@@ -33,7 +33,6 @@ type t =
           {!wrap} is the identity for it. Only raw members can carry it:
           {!Runner.run} rejects it on a cluster-built stack. *)
 
-val label : t -> string
 val of_string : string -> (t, string) result
 (** ["clean"], ["skip-delivery"], ["skip-retransmission"],
     ["kv-skip-apply"] or ["recovery-flood"]. *)

@@ -14,8 +14,6 @@ open Aring_sim
 
 type app = App_none | App_kv
 
-let app_label = function App_none -> "none" | App_kv -> "kv"
-
 let app_of_string = function
   | "none" -> Ok App_none
   | "kv" -> Ok App_kv
@@ -385,12 +383,12 @@ let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
         if String.length p >= 6 && String.sub p 0 6 = "probe:" then
           Hashtbl.replace got (node, p) ());
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
+  (* Netsim.crash records the crash, so the watchdog never flags a dead
+     node as stuck. *)
   let crash node =
-    (match stack with
+    match stack with
     | Members _ -> Netsim.crash sim node
-    | Cluster cl -> Cluster.crash cl ~node);
-    (* The watchdog must not flag a dead node as stuck. *)
-    List.iter (fun ring -> Health.note_crash ~node:(pid ~ring ~node)) all_rings
+    | Cluster cl -> Cluster.crash cl ~node
   in
   install_faults sim ~crash s;
   (match (stack, app) with

@@ -17,6 +17,13 @@ module Flight = Aring_obs.Flight
    per-node coordinator resolves cross-shard cas ops from its own
    replicas' votes — votes never cross the network. *)
 
+(* Skip generator: after [skip_every_ns] idle on a ring, its lowest-pid
+   alive node cedes [skip_credits] merge turns. The submitter of an mcas
+   retries every [mcas_retry_ns]. *)
+let skip_every_ns = 250_000
+let skip_credits = 32
+let mcas_retry_ns = 8_000_000
+
 type merged_item = {
   mi_ring : int;
   mi_index : int;
@@ -47,9 +54,6 @@ type t = {
       (* id -> (node, ring, commit) in observation order *)
   last_activity : int array;  (* per global pid: sim ns of last observation *)
   alive_phys : bool array;
-  skip_every_ns : int;
-  skip_credits : int;
-  mcas_retry_ns : int;
   mutable mcas_submitted : int;
   mutable mcas_retries : int;
 }
@@ -153,7 +157,7 @@ let arm_termination t ~node id =
   | Some reg ->
       if not reg.rg_armed.(node) then begin
         reg.rg_armed.(node) <- true;
-        let period = 3 * t.mcas_retry_ns in
+        let period = 3 * mcas_retry_ns in
         let rec tick () =
           if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
             if reg.rg_parts <> [] then begin
@@ -271,17 +275,17 @@ let install_skip_generators t =
         if t.alive_phys.(node) then begin
           if
             designated node
-            && Netsim.now t.sim - t.last_activity.(p) >= t.skip_every_ns
+            && Netsim.now t.sim - t.last_activity.(p) >= skip_every_ns
             && Kv.synced (kv t ~ring ~node)
             && Merge.pending t.merges.(node) ~ring = 0
-            && Merge.unspent_credits t.merges.(node) ~ring < t.skip_credits
+            && Merge.unspent_credits t.merges.(node) ~ring < skip_credits
           then begin
             Flight.record ~node:p ~code:Flight.ev_skip ~a:ring
-              ~b:t.skip_credits ~c:0 ~d:0;
-            Kv.skip (kv t ~ring ~node) ~credits:t.skip_credits
+              ~b:skip_credits ~c:0 ~d:0;
+            Kv.skip (kv t ~ring ~node) ~credits:skip_credits
           end;
           Netsim.call_at t.sim
-            ~at:(Netsim.now t.sim + t.skip_every_ns)
+            ~at:(Netsim.now t.sim + skip_every_ns)
             tick
         end
       in
@@ -293,9 +297,8 @@ let install_skip_generators t =
 (* --- construction ----------------------------------------------------- *)
 
 let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
-    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?(skip_every_ns = 250_000)
-    ?(skip_credits = 32) ?(mcas_retry_ns = 8_000_000) ?controller ?wrap
-    ?kv_bug ~rings ~nodes () =
+    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?controller ?wrap ?kv_bug
+    ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
   let total = rings * nodes in
@@ -357,9 +360,6 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       decisions = Hashtbl.create 64;
       last_activity = Array.make total 0;
       alive_phys = Array.make nodes true;
-      skip_every_ns;
-      skip_credits;
-      mcas_retry_ns;
       mcas_submitted = 0;
       mcas_retries = 0;
     }
@@ -375,7 +375,6 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
   t
 
 let on_merged t f = t.merged_cbs <- t.merged_cbs @ [ f ]
-let merged_count t ~node = Merge.emitted t.merges.(node)
 let merge_blocked t ~node ~ring = Merge.pending t.merges.(node) ~ring
 
 (* --- client operations ------------------------------------------------ *)
@@ -437,11 +436,11 @@ let mcas t ~node ~id ~checks ~writes =
       t.mcas_retries <- t.mcas_retries + 1;
       submit ();
       try_resolve t ~node id;
-      Netsim.call_at t.sim ~at:(Netsim.now t.sim + t.mcas_retry_ns) retry
+      Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
     end
   in
   submit ();
-  Netsim.call_at t.sim ~at:(Netsim.now t.sim + t.mcas_retry_ns) retry
+  Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
 
 let mcas_submitted t = t.mcas_submitted
 let mcas_retries t = t.mcas_retries

@@ -26,8 +26,14 @@ let capacity = ref default_capacity
 let rings : ring option array ref = ref [||]
 let on = ref true
 
-let enabled () = !on
+(* The one subscriber: the health watchdog, when attached. *)
+type watch =
+  node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> now:int -> unit
+
+let watch : watch option ref = ref None
+
 let set_enabled b = on := b
+let set_watch w = watch := w
 let reset () = rings := [||]
 
 let set_capacity n =
@@ -57,6 +63,7 @@ let ev_resend = 16
 let ev_mcas = 17
 let ev_skip = 18
 let ev_merge = 19
+let ev_crash = 20
 
 let code_name = function
   | 1 -> "token_recv"
@@ -78,6 +85,7 @@ let code_name = function
   | 17 -> "mcas"
   | 18 -> "skip"
   | 19 -> "merge"
+  | 20 -> "crash"
   | _ -> "unknown"
 
 (* ------------------------------------------------------------------ *)
@@ -103,7 +111,8 @@ let record ~node ~code ~a ~b ~c ~d =
     in
     let base = ring.next * slot_words in
     let buf = ring.buf in
-    buf.(base) <- Trace.now ();
+    let now = Trace.now () in
+    buf.(base) <- now;
     buf.(base + 1) <- code;
     buf.(base + 2) <- a;
     buf.(base + 3) <- b;
@@ -111,7 +120,10 @@ let record ~node ~code ~a ~b ~c ~d =
     buf.(base + 5) <- d;
     let next = ring.next + 1 in
     ring.next <- (if next = ring.cap then 0 else next);
-    ring.total <- ring.total + 1
+    ring.total <- ring.total + 1;
+    match !watch with
+    | None -> ()
+    | Some f -> f ~node ~code ~a ~b ~c ~d ~now
   end
 
 (* ------------------------------------------------------------------ *)
@@ -127,7 +139,7 @@ type record_view = {
   r_d : int;
 }
 
-let node_records node ring =
+let records_of node ring =
   let stored = min ring.total ring.cap in
   let first = (ring.next - stored + ring.cap) mod ring.cap in
   List.init stored (fun i ->
@@ -142,12 +154,17 @@ let node_records node ring =
         r_d = ring.buf.(base + 5);
       })
 
+let node_records node =
+  if node >= 0 && node < Array.length !rings then
+    match (!rings).(node) with Some ring -> records_of node ring | None -> []
+  else []
+
 (* All nodes, globally time-ordered (stable within a node). *)
 let records () =
   let all = ref [] in
   Array.iteri
     (fun node -> function
-      | Some ring -> all := node_records node ring :: !all
+      | Some ring -> all := records_of node ring :: !all
       | None -> ())
     !rings;
   List.concat !all
@@ -174,36 +191,6 @@ let dump_jsonl oc =
         "{\"ns\":%d,\"node\":%d,\"ev\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d}\n"
         r.r_ns r.r_node (code_name r.r_code) r.r_a r.r_b r.r_c r.r_d)
     (records ())
-
-let chrome_json () =
-  let instant r =
-    Json.Obj
-      [
-        ("name", Json.String (code_name r.r_code));
-        ("ph", Json.String "i");
-        ("ts", Json.Int (r.r_ns / 1_000));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int r.r_node);
-        ("s", Json.String "t");
-        ("args",
-         Json.Obj
-           [
-             ("a", Json.Int r.r_a);
-             ("b", Json.Int r.r_b);
-             ("c", Json.Int r.r_c);
-             ("d", Json.Int r.r_d);
-           ]);
-      ]
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map instant (records ())));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let dump_chrome oc =
-  output_string oc (Json.to_string (chrome_json ()));
-  output_char oc '\n'
 
 let dump_jsonl_file path =
   let oc = open_out path in

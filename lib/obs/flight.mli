@@ -3,11 +3,26 @@
     kept even when no {!Trace} sink is installed. Steady-state recording
     allocates nothing once a node's ring exists; the recorder never
     feeds the hashed trace stream, so pinned corpus hashes are
-    unaffected by it. Dump on demand as JSONL or a Chrome trace. *)
+    unaffected by it. Dump on demand as JSONL.
 
-val enabled : unit -> bool
+    The recorder is also the one event feed for the health watchdog
+    ({!Health}): an instrumented site makes a single {!record} call per
+    event, and the recorder hands each stored record to its one
+    subscriber ({!set_watch}). *)
+
 val set_enabled : bool -> unit
-(** Recording is on by default; disabling is for overhead baselines. *)
+(** Recording is on by default; disabling is for overhead baselines.
+    A disabled recorder also feeds nothing to the subscriber, so it
+    silences an attached watchdog. *)
+
+type watch =
+  node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> now:int -> unit
+
+val set_watch : watch option -> unit
+(** Install ([Some f]) or remove ([None]) the single subscriber. After
+    {!record} stores a record it calls [f] with the record's fields and
+    its timestamp [now]. One slot: installing replaces the previous
+    subscriber. {!reset} leaves it in place. *)
 
 val reset : unit -> unit
 (** Drop every ring (a fresh run should start from an empty recorder). *)
@@ -63,14 +78,17 @@ val ev_merge : int
 (** Learner merge progress at a node: [a] = ring id popped, [b] =
     merged-stream length, [c] = credits consumed since the last pop. *)
 
+val ev_crash : int
+(** The node crashed (recorded by [Netsim.crash]); no arguments. *)
+
 val code_name : int -> string
 
 (** {2 Recording} *)
 
 val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full. Zero-allocation after the node's first record. No-op when
-    disabled or [node < 0]. *)
+    full, then pass it to the subscriber, if any. Zero-allocation after
+    the node's first record. No-op when disabled or [node < 0]. *)
 
 (** {2 Readout} *)
 
@@ -87,6 +105,9 @@ type record_view = {
 val records : unit -> record_view list
 (** Every retained record across all nodes, time-ordered. *)
 
+val node_records : int -> record_view list
+(** One node's retained records, oldest first. *)
+
 val total : unit -> int
 (** Lifetime records written (including overwritten ones). *)
 
@@ -95,4 +116,3 @@ val stored : unit -> int
 
 val dump_jsonl : out_channel -> unit
 val dump_jsonl_file : string -> unit
-val dump_chrome : out_channel -> unit

@@ -19,9 +19,12 @@
      virtual time while some live node is stuck outside operational.
 
    Like Trace and Span, the watchdog is a global attach/detach
-   instrument: Member and Engine feed it through self-guarded notes, so
-   a run without a watchdog pays one ref read per note site. It emits
-   no trace events — pinned corpus hashes cannot see it. *)
+   instrument, but it has no feed of its own: attaching it subscribes it
+   to the flight recorder, and it updates its counters from the records
+   Member, Engine and Netsim already write there (one [Flight.record]
+   per event). With no watchdog attached a record pays one ref read for
+   the empty subscriber slot. It emits no trace events — pinned corpus
+   hashes cannot see it. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -36,10 +39,8 @@ let phase_commit = 2
 let phase_recover = 3
 let n_phases = 4
 
-(* Trail entries extend the phase codes with watchdog-relevant moments. *)
-let trail_crash = 4
-let trail_recheck = 5
-let trail_giveup = 6
+(* Past the four phases: the state of a node after its crash record. *)
+let phase_crashed = 4
 
 let phase_name = function
   | 0 -> "operational"
@@ -47,14 +48,10 @@ let phase_name = function
   | 2 -> "commit"
   | 3 -> "recover"
   | 4 -> "crashed"
-  | 5 -> "exchange-recheck"
-  | 6 -> "recheck-giveup"
   | _ -> "unknown"
 
-let trail_capacity = 64
-
 type node_state = {
-  mutable ns_phase : int;  (* current phase code; trail_crash once dead *)
+  mutable ns_phase : int;  (* current phase code; phase_crashed once dead *)
   mutable ns_phase_since : int;
   ns_time_in : int array;  (* ns accumulated per phase, length n_phases *)
   ns_entries : int array;  (* lifetime phase entries, length n_phases *)
@@ -71,10 +68,6 @@ type node_state = {
   mutable ns_bursts : int;  (* paced flood bursts fired *)
   mutable ns_resend_reqs : int;  (* cumulative nacks multicast *)
   mutable ns_resend_total : int;  (* messages re-sent answering nacks *)
-  trail : int array;  (* recent trail codes, ring *)
-  trail_ns : int array;
-  mutable trail_next : int;
-  mutable trail_total : int;
 }
 
 type t = {
@@ -107,10 +100,6 @@ let create ?(config = default_config) ~n () =
             ns_bursts = 0;
             ns_resend_reqs = 0;
             ns_resend_total = 0;
-            trail = Array.make trail_capacity (-1);
-            trail_ns = Array.make trail_capacity 0;
-            trail_next = 0;
-            trail_total = 0;
           });
     last_delivery_ns = 0;
     last_operational_ns = 0;
@@ -118,148 +107,73 @@ let create ?(config = default_config) ~n () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Global instrument                                                   *)
-
-let current : t option ref = ref None
-
-let enabled () = Option.is_some !current
-let attach t = current := Some t
-let detach () = current := None
-
-let with_health t f =
-  attach t;
-  Fun.protect ~finally:detach f
-
-(* ------------------------------------------------------------------ *)
-(* Feeds                                                               *)
-
-let push_trail ns code now =
-  ns.trail.(ns.trail_next) <- code;
-  ns.trail_ns.(ns.trail_next) <- now;
-  ns.trail_next <- (ns.trail_next + 1) mod trail_capacity;
-  ns.trail_total <- ns.trail_total + 1
+(* The flight-record subscriber                                        *)
 
 let close_phase ns now =
   if ns.ns_phase >= 0 && ns.ns_phase < n_phases then
     ns.ns_time_in.(ns.ns_phase) <-
       ns.ns_time_in.(ns.ns_phase) + max 0 (now - ns.ns_phase_since)
 
-let node_state t node =
-  if node >= 0 && node < Array.length t.nodes then Some t.nodes.(node)
-  else None
+let enter_phase t ns phase now =
+  if ns.ns_phase <> phase_crashed then begin
+    close_phase ns now;
+    ns.ns_phase <- phase;
+    ns.ns_phase_since <- now;
+    if phase >= 0 && phase < n_phases then
+      ns.ns_entries.(phase) <- ns.ns_entries.(phase) + 1;
+    if phase = phase_gather then begin
+      ns.ns_attempts <- ns.ns_attempts + 1;
+      ns.ns_max_attempts <- max ns.ns_max_attempts ns.ns_attempts
+    end;
+    if phase = phase_operational then begin
+      t.last_operational_ns <- now;
+      ns.ns_attempts <- 0;
+      ns.ns_rechecks <- 0;
+      ns.ns_giveups <- 0;
+      ns.ns_floods <- 0;
+      ns.ns_resends <- 0
+    end
+  end
 
-let note_phase ~node ~phase =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          if ns.ns_phase <> trail_crash then begin
-            let now = Trace.now () in
-            close_phase ns now;
-            ns.ns_phase <- phase;
-            ns.ns_phase_since <- now;
-            if phase >= 0 && phase < n_phases then
-              ns.ns_entries.(phase) <- ns.ns_entries.(phase) + 1;
-            if phase = phase_gather then begin
-              ns.ns_attempts <- ns.ns_attempts + 1;
-              ns.ns_max_attempts <- max ns.ns_max_attempts ns.ns_attempts
-            end;
-            if phase = phase_operational then begin
-              t.last_operational_ns <- now;
-              ns.ns_attempts <- 0;
-              ns.ns_rechecks <- 0;
-              ns.ns_giveups <- 0;
-              ns.ns_floods <- 0;
-              ns.ns_resends <- 0
-            end;
-            push_trail ns phase now
-          end)
+(* Record arguments as documented in flight.mli. Deliveries count from
+   any node; everything else is per node and ignored outside [0, n). *)
+let on_record t ~node ~code ~a ~b:_ ~c ~d:_ ~now =
+  if code = Flight.ev_deliver then begin
+    t.last_delivery_ns <- now;
+    t.deliveries <- t.deliveries + 1
+  end
+  else if node < Array.length t.nodes then begin
+    let ns = t.nodes.(node) in
+    if code = Flight.ev_phase then enter_phase t ns a now
+    else if code = Flight.ev_recheck then ns.ns_rechecks <- ns.ns_rechecks + 1
+    else if code = Flight.ev_recheck_giveup then
+      ns.ns_giveups <- ns.ns_giveups + 1
+    else if code = Flight.ev_burst then begin
+      ns.ns_bursts <- ns.ns_bursts + 1;
+      ns.ns_floods <- ns.ns_floods + a;
+      ns.ns_flood_total <- ns.ns_flood_total + a
+    end
+    else if code = Flight.ev_dedup then
+      ns.ns_dedup_saved <- ns.ns_dedup_saved + c
+    else if code = Flight.ev_nack then
+      ns.ns_resend_reqs <- ns.ns_resend_reqs + 1
+    else if code = Flight.ev_resend then begin
+      ns.ns_resends <- ns.ns_resends + a;
+      ns.ns_resend_total <- ns.ns_resend_total + a
+    end
+    else if code = Flight.ev_crash then begin
+      close_phase ns now;
+      ns.ns_phase <- phase_crashed;
+      ns.ns_phase_since <- now
+    end
+  end
 
-let note_recheck ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_rechecks <- ns.ns_rechecks + 1;
-          push_trail ns trail_recheck (Trace.now ()))
+let attach t = Flight.set_watch (Some (on_record t))
+let detach () = Flight.set_watch None
 
-let note_recheck_giveup ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_giveups <- ns.ns_giveups + 1;
-          push_trail ns trail_giveup (Trace.now ()))
-
-let note_flood ~node ~count =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_floods <- ns.ns_floods + count;
-          ns.ns_flood_total <- ns.ns_flood_total + count)
-
-let note_dedup ~node ~saved =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_dedup_saved <- ns.ns_dedup_saved + saved)
-
-let note_burst ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_bursts <- ns.ns_bursts + 1)
-
-let note_resend_req ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_resend_reqs <- ns.ns_resend_reqs + 1)
-
-let note_resend ~node ~count =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_resends <- ns.ns_resends + count;
-          ns.ns_resend_total <- ns.ns_resend_total + count)
-
-let note_delivery () =
-  match !current with
-  | None -> ()
-  | Some t ->
-      t.last_delivery_ns <- Trace.now ();
-      t.deliveries <- t.deliveries + 1
-
-let note_crash ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          let now = Trace.now () in
-          close_phase ns now;
-          ns.ns_phase <- trail_crash;
-          ns.ns_phase_since <- now;
-          push_trail ns trail_crash now)
+let with_health t f =
+  attach t;
+  Fun.protect ~finally:detach f
 
 (* ------------------------------------------------------------------ *)
 (* Stall detection                                                     *)
@@ -281,7 +195,7 @@ let check t ~now =
     |> List.mapi (fun node ns -> (node, ns))
     |> List.filter_map (fun (node, ns) ->
            if
-             ns.ns_phase <> trail_crash
+             ns.ns_phase <> phase_crashed
              && ns.ns_attempts >= t.cfg.k_formation
              && no_install
            then
@@ -303,7 +217,7 @@ let check t ~now =
     |> List.filter_map (fun (node, ns) ->
            if
              ns.ns_phase >= 0
-             && ns.ns_phase <> trail_crash
+             && ns.ns_phase <> phase_crashed
              && ns.ns_phase <> phase_operational
              && now - ns.ns_phase_since > t.cfg.stall_ns
            then Some (node, phase_name ns.ns_phase)
@@ -345,25 +259,35 @@ type report = {
   r_nodes : node_report list;
 }
 
-let trail_codes ns =
-  let stored = min ns.trail_total trail_capacity in
-  let first = (ns.trail_next - stored + trail_capacity) mod trail_capacity in
-  List.init stored (fun i -> ns.trail.((first + i) mod trail_capacity))
+(* The node's last [trail_capacity] membership moments, oldest first,
+   read back from its flight records. *)
+let trail_capacity = 64
+
+let trail_names node =
+  let name (r : Flight.record_view) =
+    if r.r_code = Flight.ev_phase then Some (phase_name r.r_a)
+    else if r.r_code = Flight.ev_recheck then Some "exchange-recheck"
+    else if r.r_code = Flight.ev_recheck_giveup then Some "recheck-giveup"
+    else if r.r_code = Flight.ev_crash then Some "crashed"
+    else None
+  in
+  let names = List.filter_map name (Flight.node_records node) in
+  let skip = List.length names - trail_capacity in
+  List.filteri (fun i _ -> i >= skip) names
 
 (* "gather, recheck, recheck, recheck" -> ["gather"; "recheck x3"]. *)
-let compress_trail codes =
+let compress_trail names =
   let rec go = function
     | [] -> []
-    | code :: rest ->
+    | name :: rest ->
         let rec span n = function
-          | c :: tl when c = code -> span (n + 1) tl
+          | c :: tl when c = name -> span (n + 1) tl
           | tl -> (n, tl)
         in
         let n, rest = span 1 rest in
-        let name = phase_name code in
         (if n = 1 then name else Printf.sprintf "%s x%d" name n) :: go rest
   in
-  go codes
+  go names
 
 let report t ~now =
   let nodes =
@@ -394,7 +318,7 @@ let report t ~now =
                    in
                    (label i,
                     float_of_int (ns.ns_time_in.(i) + extra) /. 1e6));
-             nr_trail = compress_trail (trail_codes ns);
+             nr_trail = compress_trail (trail_names node);
            })
   in
   {

@@ -1,9 +1,13 @@
 (** Recovery/stall health watchdog. Tracks per-node membership-phase
-    time-in-state and entry counters (fed by [Member]), exchange-recheck
-    and recovery-flood volume, and cluster-wide delivery progress (fed
-    by [Engine]); detects formation livelock ("K gather attempts without
-    reaching operational") and delivery stalls ("no progress for T
-    virtual ns while a node is stuck outside operational"). Global
+    time-in-state and entry counters, exchange-recheck and recovery-flood
+    volume, and cluster-wide delivery progress; detects formation
+    livelock ("K gather attempts without reaching operational") and
+    delivery stalls ("no progress for T virtual ns while a node is stuck
+    outside operational"). It reads the flight stream: {!attach} makes
+    it the {!Flight} recorder's subscriber, and it counts from the
+    [ev_phase], [ev_recheck], [ev_recheck_giveup], [ev_burst],
+    [ev_dedup], [ev_nack], [ev_resend], [ev_deliver] and [ev_crash]
+    records that [Member], [Engine] and [Netsim] write. Global
     attach/detach like {!Trace}; emits no trace events, so pinned corpus
     hashes never see it. *)
 
@@ -26,34 +30,12 @@ val create : ?config:config -> n:int -> unit -> t
 
 (** {2 Global instrument} *)
 
-val enabled : unit -> bool
 val attach : t -> unit
+(** Install [t] as the flight recorder's subscriber (replacing any
+    other watchdog). A disabled recorder feeds it nothing. *)
+
 val detach : unit -> unit
 val with_health : t -> (unit -> 'a) -> 'a
-
-(** {2 Feeds} (self-guarded: no-ops when nothing is attached) *)
-
-val note_phase : node:int -> phase:int -> unit
-val note_recheck : node:int -> unit
-val note_recheck_giveup : node:int -> unit
-
-val note_flood : node:int -> count:int -> unit
-(** Exchange messages actually multicast (initial bursts and resends). *)
-
-val note_dedup : node:int -> saved:int -> unit
-(** Sends avoided at recovery entry by designated-holder dedup. *)
-
-val note_burst : node:int -> unit
-(** One paced flood burst fired. *)
-
-val note_resend_req : node:int -> unit
-(** A cumulative nack multicast after a recheck found messages missing. *)
-
-val note_resend : node:int -> count:int -> unit
-(** Messages queued for re-flooding in answer to a nack. *)
-
-val note_delivery : unit -> unit
-val note_crash : node:int -> unit
 
 (** {2 Stall detection} *)
 
@@ -92,6 +74,9 @@ type node_report = {
   nr_entries : (string * int) list;
   nr_time_in_ms : (string * float) list;
   nr_trail : string list;
+      (** the node's last 64 phase, recheck, give-up and crash moments,
+          read back from its retained flight records at report time;
+          oldest first, run-length compressed *)
 }
 
 type report = {

@@ -57,7 +57,6 @@ let metrics t = t.sp_metrics
 
 let current : t option ref = ref None
 
-let enabled () = Option.is_some !current
 let attach t = current := Some t
 let detach () = current := None
 

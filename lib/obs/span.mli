@@ -16,7 +16,6 @@ val metrics : t -> Metrics.t
 
 (** {2 Global collector} *)
 
-val enabled : unit -> bool
 val attach : t -> unit
 val detach : unit -> unit
 val with_span : t -> (unit -> 'a) -> 'a

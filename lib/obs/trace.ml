@@ -127,8 +127,6 @@ let tee sinks =
     flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
   }
 
-let null_sink = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 let fn_sink f = { emit = f; flush = (fun () -> ()) }
 
 (* Unbounded in-memory collector (tests, exporters). *)

@@ -133,7 +133,6 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 (** {1 Sinks} *)
 
 val tee : sink list -> sink
-val null_sink : sink
 val fn_sink : (event -> unit) -> sink
 
 type memory

@@ -3,7 +3,6 @@ module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 module Flight = Aring_obs.Flight
 module Span = Aring_obs.Span
-module Health = Aring_obs.Health
 
 type timer_kind = Token_retransmit | Token_loss
 
@@ -283,7 +282,6 @@ let deliver_ready_into t tail =
       Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid ~c:0
         ~d:0;
       Span.note_delivered ~node:t.me ~sender:d.pid ~seq:next;
-      Health.note_delivery ();
       loop (Deliver d :: acc)
     end
   in

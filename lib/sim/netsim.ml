@@ -3,6 +3,7 @@ open Aring_ring
 module Prng = Aring_util.Prng
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
+module Flight = Aring_obs.Flight
 
 (* The event queue is allocation-free in steady state. Each pending event
    is keyed by (timestamp clamped to now, monotonic insertion seq), and
@@ -604,6 +605,7 @@ let set_latency_classes t ~classes ~matrix =
 
 let crash t node =
   t.alive.(node) <- false;
+  Flight.record ~node ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0;
   if Trace.enabled () then Trace.emit ~node Crash
 
 let record_metrics t reg =

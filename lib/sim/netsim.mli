@@ -130,7 +130,9 @@ val set_domains : t -> int array -> unit
     cover every node. By default all nodes share one domain. *)
 
 val crash : t -> int -> unit
-(** Node stops processing and receiving, permanently. *)
+(** Node stops processing and receiving, permanently. Records a
+    [Flight.ev_crash] for the node, so an attached health watchdog
+    stops treating it as live. *)
 
 val is_alive : t -> int -> bool
 

@@ -64,7 +64,3 @@ let pop_exn h =
 let pop h = if h.size = 0 then None else Some (pop_exn h)
 
 let clear h = h.size <- 0
-
-let to_list h =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (h.data.(i) :: acc) in
-  loop (h.size - 1) []

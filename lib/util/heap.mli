@@ -31,6 +31,3 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 (** [clear h] removes every element from [h]. *)
-
-val to_list : 'a t -> 'a list
-(** [to_list h] is the elements of [h] in unspecified order. *)

@@ -528,6 +528,51 @@ let test_watchdog_flags_recovery_flood_livelock () =
         "recovery-flood bug injected but schedule passed — either the \
          legacy-flood gate is dead or the watchdog regressed"
 
+(* The watchdog counts recovery traffic from the flight stream. Pinned
+   per-node rows (phase, flood_total, dedup_saved, bursts, resend_reqs,
+   resend_total, max_attempts, then operational/gather/commit/recover
+   entries): a record the feed drops or counts twice moves them. Seed 22
+   crashes node 0; seed 29 nacks and resends across the ring. *)
+let health_rows (o : Runner.outcome) =
+  List.map
+    (fun (nr : Aring_obs.Health.node_report) ->
+      Printf.sprintf "%s ft=%d ds=%d b=%d rr=%d rt=%d max=%d e=%s" nr.nr_phase
+        nr.nr_flood_total nr.nr_dedup_saved nr.nr_bursts nr.nr_resend_reqs
+        nr.nr_resend_total nr.nr_max_attempts
+        (String.concat "/"
+           (List.map (fun (_, n) -> string_of_int n) nr.nr_entries)))
+    o.Runner.health.Aring_obs.Health.r_nodes
+
+let test_watchdog_counters_pinned () =
+  let pinned seed rows =
+    let o = Runner.run (Schedule.generate ~seed ()) in
+    Alcotest.(check bool) (Printf.sprintf "seed %Ld passes" seed) true
+      (Runner.passed o);
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %Ld watchdog rows" seed)
+      rows (health_rows o)
+  in
+  pinned 22L
+    [
+      "crashed ft=0 ds=0 b=0 rr=0 rt=0 max=1 e=2/1/1/1";
+      "operational ft=0 ds=0 b=0 rr=0 rt=0 max=1 e=3/2/2/2";
+      "operational ft=18 ds=13 b=4 rr=0 rt=1 max=1 e=3/2/2/2";
+      "operational ft=1 ds=33 b=1 rr=0 rt=1 max=1 e=3/2/2/2";
+      "operational ft=19 ds=15 b=3 rr=2 rt=0 max=1 e=3/2/2/2";
+      "operational ft=0 ds=0 b=0 rr=0 rt=0 max=1 e=3/2/2/2";
+    ];
+  pinned 29L
+    [
+      "operational ft=92 ds=372 b=15 rr=0 rt=31 max=1 e=4/3/3/3";
+      "operational ft=99 ds=633 b=15 rr=10 rt=59 max=1 e=5/4/4/4";
+      "operational ft=107 ds=667 b=16 rr=6 rt=107 max=1 e=5/4/4/4";
+      "operational ft=114 ds=660 b=20 rr=0 rt=95 max=1 e=5/4/4/4";
+      "operational ft=131 ds=725 b=20 rr=3 rt=127 max=2 e=5/5/5/5";
+      "operational ft=112 ds=667 b=20 rr=0 rt=110 max=1 e=5/4/4/4";
+      "operational ft=296 ds=422 b=40 rr=2 rt=87 max=1 e=6/5/5/5";
+      "operational ft=421 ds=44 b=54 rr=7 rt=0 max=2 e=4/4/4/4";
+    ]
+
 let test_corpus_save_load () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "aring-corpus-test" in
   let s = Schedule.generate ~seed:99L () in
@@ -561,6 +606,8 @@ let suite =
      test_gather_stall_schedule_converges);
     ("watchdog flags recovery-flood livelock", `Slow,
      test_watchdog_flags_recovery_flood_livelock);
+    ("watchdog counters pinned (seeds 22, 29)", `Quick,
+     test_watchdog_counters_pinned);
     ("recovery-flood rejected on cluster stacks", `Quick,
      test_recovery_flood_rejected_on_cluster);
     ("corpus save/load", `Quick, test_corpus_save_load);

@@ -420,12 +420,12 @@ let test_mcas_slow_ring_skew () =
 
 (* ---------------- one ring: no skip generators ---------------- *)
 
-(* An idle cluster for many [skip_every_ns] intervals: at one ring the
+(* An idle cluster for many 250 µs skip intervals: at one ring the
    merge never waits, so no replica may see a single skip op; at two
    rings the same idle run must (the control, proving the count can
    move). *)
 let idle_skips ~rings =
-  let cluster = Cluster.create ~rings ~nodes:3 ~seed:5L ~skip_every_ns:250_000 () in
+  let cluster = Cluster.create ~rings ~nodes:3 ~seed:5L () in
   Netsim.run_until (Cluster.sim cluster) (ms 40);
   List.concat_map
     (fun ring ->

@@ -549,22 +549,36 @@ let test_span_stages () =
 
 module Health = Aring_obs.Health
 
+(* The watchdog reads the flight stream: these feed it the records
+   Member, Engine and Netsim write for the same events. *)
+let feed ?(b = 0) ?(c = 0) ~node code a =
+  Flight.record ~node ~code ~a ~b ~c ~d:0
+
+let phase ~node p = feed ~node Flight.ev_phase p
+let recheck ~node = feed ~node Flight.ev_recheck 0
+let delivery () = feed ~node:0 Flight.ev_deliver 0
+let crash ~node = feed ~node Flight.ev_crash 0
+
+let with_watchdog h f =
+  Flight.reset ();
+  Health.with_health h f
+
 let test_health_formation_cycle () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:2 () in
-      Health.with_health h (fun () ->
+      with_watchdog h (fun () ->
           (* Node 0 cycles gather -> commit -> recover without ever
              reaching operational; node 1 is healthy. The cycling must
              outlast [stall_ns] with no formation completing anywhere
              before the verdict fires. *)
-          Health.note_phase ~node:1 ~phase:Health.phase_operational;
+          phase ~node:1 Health.phase_operational;
           for i = 1 to 8 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_recheck ~node:0;
-            Health.note_phase ~node:0 ~phase:Health.phase_commit;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover;
-            Health.note_delivery ()
+            phase ~node:0 Health.phase_gather;
+            recheck ~node:0;
+            phase ~node:0 Health.phase_commit;
+            phase ~node:0 Health.phase_recover;
+            delivery ()
           done;
           (match Health.check h ~now:!t with
           | [ Health.Formation_cycle { fc_node; fc_attempts; fc_rechecks; _ } ]
@@ -578,29 +592,29 @@ let test_health_formation_cycle () =
           (* A formation completing anywhere re-opens the grace window:
              attempt-burning while views keep installing is churn making
              progress, not a livelock. *)
-          Health.note_phase ~node:1 ~phase:Health.phase_operational;
+          phase ~node:1 Health.phase_operational;
           check Alcotest.int "install elsewhere clears the verdict" 0
             (List.length (Health.check h ~now:!t))))
 
 let test_health_operational_resets () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:1 () in
-      Health.with_health h (fun () ->
+      with_watchdog h (fun () ->
           for i = 1 to 7 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover
+            phase ~node:0 Health.phase_gather;
+            phase ~node:0 Health.phase_recover
           done;
           (* Reaching operational resets the attempt counter... *)
-          Health.note_phase ~node:0 ~phase:Health.phase_operational;
-          Health.note_delivery ();
-          Health.note_phase ~node:0 ~phase:Health.phase_gather;
+          phase ~node:0 Health.phase_operational;
+          delivery ();
+          phase ~node:0 Health.phase_gather;
           check Alcotest.int "no stall after operational" 0
             (List.length (Health.check h ~now:!t));
           (* ...so the next cycle needs K fresh attempts. *)
           for i = 8 to 14 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather
+            phase ~node:0 Health.phase_gather
           done;
           check Alcotest.int "8 fresh attempts stall again" 1
             (List.length (Health.check h ~now:!t))))
@@ -608,11 +622,11 @@ let test_health_operational_resets () =
 let test_health_no_progress_and_crash () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:2 () in
-      Health.with_health h (fun () ->
+      with_watchdog h (fun () ->
           t := 1_000;
-          Health.note_delivery ();
-          Health.note_phase ~node:0 ~phase:Health.phase_gather;
-          Health.note_phase ~node:1 ~phase:Health.phase_gather;
+          delivery ();
+          phase ~node:0 Health.phase_gather;
+          phase ~node:1 Health.phase_gather;
           (* Two virtual seconds with no delivery and both nodes stuck. *)
           t := 2_000_000_000;
           (match Health.check h ~now:!t with
@@ -624,20 +638,24 @@ let test_health_no_progress_and_crash () =
               Alcotest.failf "expected no_progress, got %d stalls"
                 (List.length other));
           (* Crashed nodes are excluded; a crashed-only stall clears. *)
-          Health.note_crash ~node:0;
-          Health.note_crash ~node:1;
+          crash ~node:0;
+          crash ~node:1;
           check Alcotest.int "crashed nodes never stall" 0
-            (List.length (Health.check h ~now:!t))))
+            (List.length (Health.check h ~now:!t));
+          (* A crashed node ignores later phase records. *)
+          phase ~node:0 Health.phase_gather;
+          check Alcotest.string "still crashed" "crashed"
+            (List.hd (Health.report h ~now:!t).Health.r_nodes).Health.nr_phase))
 
 let test_health_report_renders () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:1 () in
-      Health.with_health h (fun () ->
+      with_watchdog h (fun () ->
           for i = 1 to 8 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_recheck ~node:0;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover
+            phase ~node:0 Health.phase_gather;
+            recheck ~node:0;
+            phase ~node:0 Health.phase_recover
           done);
       let r = Health.report h ~now:!t in
       let text = Format.asprintf "%a" Health.pp_report r in
@@ -648,6 +666,99 @@ let test_health_report_renders () =
            i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
          in
          scan 0))
+
+(* Each recovery-traffic record moves the counter documented for it in
+   flight.mli; records the watchdog does not read move nothing. *)
+let test_health_counts_recovery_records () =
+  with_virtual_clock (fun t ->
+      let h = Health.create ~n:2 () in
+      with_watchdog h (fun () ->
+          t := 1_000;
+          phase ~node:0 Health.phase_recover;
+          feed ~node:0 Flight.ev_flood 9;
+          feed ~node:0 Flight.ev_dedup 12 ~b:5 ~c:7;
+          feed ~node:0 Flight.ev_burst 4 ~b:1;
+          feed ~node:0 Flight.ev_burst 1;
+          feed ~node:0 Flight.ev_nack 3 ~b:2 ~c:1;
+          feed ~node:0 Flight.ev_resend 6 ~b:8;
+          feed ~node:0 Flight.ev_recheck_giveup 6;
+          feed ~node:1 Flight.ev_data_recv 1 ~b:1;
+          feed ~node:5 Flight.ev_phase Health.phase_gather;
+          delivery ();
+          feed ~node:1 Flight.ev_deliver 2);
+      let r = Health.report h ~now:!t in
+      check Alcotest.int "deliveries from any node" 2 r.Health.r_deliveries;
+      match r.Health.r_nodes with
+      | [ n0; n1 ] ->
+          check
+            Alcotest.(list int)
+            "node 0: floods, flood_total, dedup_saved, bursts, nacks, \
+             resends, resend_total, giveups"
+            [ 5; 5; 7; 2; 1; 6; 6; 1 ]
+            [
+              n0.Health.nr_floods;
+              n0.nr_flood_total;
+              n0.nr_dedup_saved;
+              n0.nr_bursts;
+              n0.nr_resend_reqs;
+              n0.nr_resends;
+              n0.nr_resend_total;
+              n0.nr_giveups;
+            ];
+          check Alcotest.string "node 1 untouched" "unknown" n1.Health.nr_phase;
+          check Alcotest.int "node 1 no floods" 0 n1.nr_flood_total
+      | _ -> Alcotest.fail "expected two node reports")
+
+(* A disabled recorder feeds the watchdog nothing. *)
+let test_health_silenced_by_disabled_recorder () =
+  let h = Health.create ~n:1 () in
+  with_watchdog h (fun () ->
+      Flight.set_enabled false;
+      Fun.protect
+        ~finally:(fun () -> Flight.set_enabled true)
+        (fun () ->
+          phase ~node:0 Health.phase_gather;
+          delivery ()));
+  let r = Health.report h ~now:0 in
+  check Alcotest.int "no delivery counted" 0 r.Health.r_deliveries;
+  check Alcotest.string "no phase entered" "unknown"
+    (List.hd r.Health.r_nodes).Health.nr_phase
+
+(* Netsim.crash alone feeds the crash: no separate note is needed for
+   the watchdog to stop treating the node as live, and the node's flight
+   ring keeps the crash record (which the report's trail reads back). *)
+let test_netsim_crash_feeds_watchdog () =
+  let n = 4 in
+  let members =
+    Array.init n (fun me ->
+        Member.create ~params:(Params.accelerated ()) ~me
+          ~initial_ring:(Array.init n Fun.id) ())
+  in
+  let sim =
+    Netsim.create ~net:Profile.gigabit
+      ~tiers:(Array.make n Profile.library)
+      ~participants:(Array.map Member.participant members)
+      ~seed:21L ()
+  in
+  let h = Health.create ~n () in
+  with_watchdog h (fun () ->
+      Netsim.call_at sim ~at:(ms 5) (fun () -> Netsim.crash sim 2);
+      Netsim.run_until sim (ms 10));
+  let r = Health.report h ~now:(ms 10) in
+  let n2 = List.nth r.Health.r_nodes 2 in
+  check Alcotest.string "node 2 crashed" "crashed" n2.Health.nr_phase;
+  check Alcotest.string "trail ends at the crash" "crashed"
+    (List.nth n2.nr_trail (List.length n2.nr_trail - 1));
+  check Alcotest.string "node 0 live" "operational"
+    (List.hd r.Health.r_nodes).Health.nr_phase;
+  let crash_records =
+    List.filter
+      (fun (v : Flight.record_view) ->
+        v.r_node = 2 && v.r_code = Flight.ev_crash && v.r_ns = ms 5)
+      (Flight.records ())
+  in
+  check Alcotest.int "one crash record in node 2's ring" 1
+    (List.length crash_records)
 
 let suite =
   [
@@ -686,4 +797,10 @@ let suite =
       test_health_no_progress_and_crash;
     Alcotest.test_case "health: report names the cycle" `Quick
       test_health_report_renders;
+    Alcotest.test_case "health: counts recovery records" `Quick
+      test_health_counts_recovery_records;
+    Alcotest.test_case "health: disabled recorder silences it" `Quick
+      test_health_silenced_by_disabled_recorder;
+    Alcotest.test_case "health: Netsim.crash feeds the crash" `Quick
+      test_netsim_crash_feeds_watchdog;
   ]
