@@ -419,7 +419,8 @@ let transform_actions t actions =
           handle_view t v;
           [ action ]
       | Participant.Unicast _ | Participant.Multicast _
-      | Participant.Arm_timer _ | Participant.Token_loss_detected ->
+      | Participant.Arm_timer _ | Participant.Rearm_timer _
+      | Participant.Token_loss_detected ->
           [ action ])
     actions
 
@@ -438,6 +439,10 @@ let participant t : Participant.t =
         transform_actions t (inner.process msg));
     fire_timer =
       (fun timer ->
+        (* Runs only for timers the runtime fires, and a runtime that
+           honours [Rearm_timer] skips superseded token timers: with
+           packing on, buffered envelopes then wait for the next token
+           or live timer. With packing off the flush is a no-op. *)
         flush t;
         transform_actions t (inner.fire_timer timer));
     start = (fun () -> transform_actions t (inner.start ()));

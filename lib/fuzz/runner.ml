@@ -525,7 +525,7 @@ let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
         let kv = Cluster.kv cl ~ring ~node in
         let m = member ~ring ~node in
         Printf.sprintf
-          "ring=%d node=%d applied=%d digest=%Lx synced=%b settled=%b \
+          "ring=%d node=%d applied=%d digest=%016Lx synced=%b settled=%b \
            parked=%b merge_blocked=%d state=%s view=%s"
           ring node (Kv.applied kv) (Kv.digest kv) (Kv.synced kv)
           (Kv.settled kv) (Kv.mcas_parked kv)
@@ -669,7 +669,7 @@ let pp_outcome ppf o =
   match o.failure with
   | None ->
       Format.fprintf ppf
-        "@[<v>PASS deliveries=%d views=%d end=%dms hash=%Lx@]" o.deliveries
+        "@[<v>PASS deliveries=%d views=%d end=%dms hash=%016Lx@]" o.deliveries
         o.views
         (o.end_ns / ms 1)
         o.trace_hash

@@ -225,6 +225,12 @@ let rec rewrap_node_actions t actions =
       | Participant.Arm_timer (timer, delay) ->
           Participant.Arm_timer (Epoch_timer (t.node_epoch, timer), delay)
           :: rewrap_node_actions t rest
+      | Participant.Rearm_timer (slot, timer, delay) ->
+          (* The slot survives the wrap: an older epoch's timer is stale
+             here too, so the superseding contract still holds. *)
+          Participant.Rearm_timer
+            (slot, Epoch_timer (t.node_epoch, timer), delay)
+          :: rewrap_node_actions t rest
       | Participant.Token_loss_detected ->
           let gather = enter_gather t in
           gather @ rewrap_node_actions t rest

@@ -97,7 +97,10 @@ let action_of_output = function
   | Engine.Send_data d -> Participant.Multicast (Message.Data d)
   | Engine.Deliver d -> Participant.Deliver d
   | Engine.Set_timer (kind, gen, delay) ->
-      Participant.Arm_timer (Engine_timer (kind, gen), delay)
+      (* Each engine timer kind owns one slot: a re-arm supersedes every
+         pending timer of its kind, all of which carry a stale [gen]. *)
+      let slot = match kind with Engine.Token_retransmit -> 0 | Token_loss -> 1 in
+      Participant.Rearm_timer (slot, Engine_timer (kind, gen), delay)
   | Engine.Token_lost -> Participant.Token_loss_detected
 
 let start t =

@@ -14,7 +14,10 @@ type action =
   | Deliver of Message.data
   | Deliver_config of view
   | Arm_timer of timer * int
+  | Rearm_timer of int * timer * int
   | Token_loss_detected
+
+let timer_slots = 2
 
 type t = {
   pid : Types.pid;

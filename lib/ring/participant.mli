@@ -39,6 +39,20 @@ type action =
       (** Configuration change notification, ordered with respect to the
           message stream (EVS semantics). *)
   | Arm_timer of timer * int  (** Delay in nanoseconds. *)
+  | Rearm_timer of int * timer * int
+      (** [Rearm_timer (slot, timer, delay)]: arm [timer] after [delay] ns
+          in timer slot [slot] ([0 <= slot < timer_slots]). It supersedes
+          every timer this participant armed earlier in the same slot, and
+          the participant promises that each superseded timer would have
+          fired as a no-op (an empty action list and no state change). A
+          runtime may therefore skip them and keep one pending deadline
+          per slot, or treat this exactly as [Arm_timer (timer, delay)];
+          both give the same behaviour. {!Node} arms the engine's token
+          retransmit timer in slot 0 and its token-loss timer in slot 1:
+          every engine re-arm either follows a bump of that timer's
+          generation (a token visit) or comes from the firing timer
+          itself (a token retransmission), so an older pending arm can
+          only fire stale. *)
   | Token_loss_detected
       (** Only emitted by a bare {!Node}; a {!Member} handles token loss
           internally by starting the membership algorithm. *)
@@ -54,5 +68,8 @@ type t = {
   start : unit -> action list;
       (** Actions to perform when the participant comes up. *)
 }
+
+val timer_slots : int
+(** Number of {!Rearm_timer} slots per participant (2). *)
 
 val pp_view : Format.formatter -> view -> unit

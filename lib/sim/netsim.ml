@@ -12,13 +12,16 @@ module Flight = Aring_obs.Flight
    closure call and no pointer chase. [slot] indexes the payload arrays
    (kind, node, message, timer, thunk); freed slots are recycled through
    an index stack. Scheduling a packet arrival touches no closure, no
-   tuple and no variant cell — it writes a recycled slot. *)
+   tuple and no variant cell — it writes a recycled slot.
+
+   Superseding timers ([Participant.Rearm_timer]) keep one queued event
+   per (node, timer slot) instead of one per arm; see [rearm_timer]. *)
 
 type Participant.timer += No_timer
 (* Placeholder stored in freed slots so they retain no live timer. Never
    dispatched. *)
 
-type ev_kind = Free | Arrival | Cpu_run | Timer | Call
+type ev_kind = Free | Arrival | Cpu_run | Timer | Slot_timer | Call
 
 let dummy_msg =
   Message.Join { j_pid = -1; proc_set = []; fail_set = []; join_seq = 0 }
@@ -42,6 +45,8 @@ type stats = {
   mutable switch_drops : int;
   mutable random_losses : int;
   mutable partition_drops : int;
+  mutable timers_fired : int;
+  mutable timers_superseded : int;
 }
 
 type t = {
@@ -52,7 +57,7 @@ type t = {
   mutable q_len : int;
   (* Event payloads by slot, each array as long as [q] has triples. *)
   mutable kinds : ev_kind array;
-  mutable nodes : int array;
+  mutable nodes : int array;  (* Slot_timer: the timer-slot index [r] *)
   mutable msgs : Message.t array;  (* Arrival *)
   mutable timers : Participant.timer array;  (* Timer *)
   mutable fns : (unit -> unit) array;  (* Call *)
@@ -61,6 +66,13 @@ type t = {
   mutable event_seq : int;
   mutable now : int;
   mutable cur_seq : int;  (* seq of the event being dispatched *)
+  (* Timer slots, indexed [r = node * Participant.timer_slots + slot]:
+     whether the slot has a [Slot_timer] event queued, and the key and
+     timer of the slot's latest arm. *)
+  slot_queued : bool array;
+  slot_at : int array;
+  slot_seq : int array;
+  slot_timer : Participant.timer array;
   prng : Prng.t;
   nic_free : int array;
   ports : port array;
@@ -177,15 +189,18 @@ let alloc_slot t =
   t.free_top <- t.free_top - 1;
   t.free_stack.(t.free_top)
 
-let enqueue t at i =
-  let at = if at < t.now then t.now else at in
-  t.event_seq <- t.event_seq + 1;
-  let seq = t.event_seq and q = t.q in
+let push t at seq i =
+  let q = t.q in
   let h = hole_up q t.q_len at seq in
   q.(3 * h) <- at;
   q.((3 * h) + 1) <- seq;
   q.((3 * h) + 2) <- i;
   t.q_len <- t.q_len + 1
+
+let enqueue t at i =
+  let at = if at < t.now then t.now else at in
+  t.event_seq <- t.event_seq + 1;
+  push t at t.event_seq i
 
 let sched_arrival t at node msg =
   let i = alloc_slot t in
@@ -206,6 +221,42 @@ let sched_timer t at node timer =
   t.nodes.(i) <- node;
   t.timers.(i) <- timer;
   enqueue t at i
+
+(* A [Rearm_timer] draws its key (clamped deadline, next seq) exactly as
+   [sched_timer] would. The slot's first pending arm queues one
+   [Slot_timer] event; a later arm whose deadline is not earlier only
+   overwrites the slot's latest key and timer, superseding the arm
+   before it. When the queued event pops at an older key, [step] puts it
+   back at the latest key without drawing a seq, so the surviving timer
+   fires at exactly the key its own event would have had and every other
+   event keeps its order. An arm with an earlier deadline cannot move
+   the queued event forward: it becomes a plain [Timer] event, and the
+   queued event still fires the timer it supersedes — a no-op by the
+   [Rearm_timer] contract. *)
+let rearm_timer t at node slot timer =
+  if slot < 0 || slot >= Participant.timer_slots then
+    invalid_arg "Netsim: Rearm_timer slot out of range";
+  let r = (node * Participant.timer_slots) + slot in
+  let at = imax at t.now in
+  if not t.slot_queued.(r) then begin
+    let i = alloc_slot t in
+    t.kinds.(i) <- Slot_timer;
+    t.nodes.(i) <- r;
+    t.slot_queued.(r) <- true;
+    t.event_seq <- t.event_seq + 1;
+    t.slot_at.(r) <- at;
+    t.slot_seq.(r) <- t.event_seq;
+    t.slot_timer.(r) <- timer;
+    push t at t.event_seq i
+  end
+  else if at >= t.slot_at.(r) then begin
+    t.stats.timers_superseded <- t.stats.timers_superseded + 1;
+    t.event_seq <- t.event_seq + 1;
+    t.slot_at.(r) <- at;
+    t.slot_seq.(r) <- t.event_seq;
+    t.slot_timer.(r) <- timer
+  end
+  else sched_timer t at node timer
 
 let sched_call t at fn =
   let i = alloc_slot t in
@@ -400,6 +451,9 @@ let rec interpret t node actions ~cursor =
         | Participant.Arm_timer (timer, delay) ->
             sched_timer t (cursor + delay) node timer;
             cursor
+        | Participant.Rearm_timer (slot, timer, delay) ->
+            rearm_timer t (cursor + delay) node slot timer;
+            cursor
         | Participant.Token_loss_detected ->
             t.token_loss_cb ~at:node ~now:cursor;
             cursor
@@ -417,6 +471,17 @@ let proc_cost t node msg =
       in
       Profile.data_proc_cost tier ~mtu:t.net.Profile.mtu ~wire_bytes
   | Message.Join _ -> tier.Profile.token_proc_ns
+
+let fire t node timer =
+  if t.alive.(node) then begin
+    t.stats.timers_fired <- t.stats.timers_fired + 1;
+    let actions = t.parts.(node).fire_timer timer in
+    if actions <> [] then begin
+      let cursor = imax t.now t.cpu_busy.(node) + 500 in
+      let busy = interpret t node actions ~cursor in
+      t.cpu_busy.(node) <- busy
+    end
+  end
 
 let dispatch t kind node msg timer fn =
   match kind with
@@ -437,21 +502,20 @@ let dispatch t kind node msg timer fn =
             t.cpu_busy.(node) <- busy;
             wake_cpu t node
       end
-  | Timer ->
-      if t.alive.(node) then begin
-        let actions = t.parts.(node).fire_timer timer in
-        if actions <> [] then begin
-          let cursor = imax t.now t.cpu_busy.(node) + 500 in
-          let busy = interpret t node actions ~cursor in
-          t.cpu_busy.(node) <- busy
-        end
-      end
+  | Timer -> fire t node timer
   | Call -> fn ()
-  | Free -> assert false
+  | Slot_timer | Free -> assert false
+
+let free_slot t i =
+  t.kinds.(i) <- Free;
+  t.free_stack.(t.free_top) <- i;
+  t.free_top <- t.free_top + 1
 
 (* Pop the minimum event, copy its fields out, recycle the slot, then
    dispatch — handlers may schedule into (and reuse) the freed slot. The
-   last triple fills the root's hole. *)
+   last triple fills the root's hole. A [Slot_timer] popped at a key
+   older than its slot's latest arm goes straight back into the queue at
+   that arm's key, keeping its payload slot. *)
 let step t =
   let q = t.q in
   t.now <- q.(0);
@@ -467,17 +531,28 @@ let step t =
     q.((3 * h) + 2) <- q.((3 * n) + 2)
   end;
   let kind = t.kinds.(i) and node = t.nodes.(i) in
-  let msg = t.msgs.(i) and timer = t.timers.(i) and fn = t.fns.(i) in
-  (* Only the kind's own payload can hold a live value. *)
-  (match kind with
-  | Arrival -> t.msgs.(i) <- dummy_msg
-  | Timer -> t.timers.(i) <- No_timer
-  | Call -> t.fns.(i) <- ignore
-  | Cpu_run | Free -> ());
-  t.kinds.(i) <- Free;
-  t.free_stack.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1;
-  dispatch t kind node msg timer fn
+  match kind with
+  | Slot_timer ->
+      let r = node in
+      if t.slot_seq.(r) <> t.cur_seq then
+        push t t.slot_at.(r) t.slot_seq.(r) i
+      else begin
+        let timer = t.slot_timer.(r) in
+        t.slot_timer.(r) <- No_timer;
+        t.slot_queued.(r) <- false;
+        free_slot t i;
+        fire t (r / Participant.timer_slots) timer
+      end
+  | Arrival | Cpu_run | Timer | Call | Free ->
+      let msg = t.msgs.(i) and timer = t.timers.(i) and fn = t.fns.(i) in
+      (* Only the kind's own payload can hold a live value. *)
+      (match kind with
+      | Arrival -> t.msgs.(i) <- dummy_msg
+      | Timer -> t.timers.(i) <- No_timer
+      | Call -> t.fns.(i) <- ignore
+      | Cpu_run | Slot_timer | Free -> ());
+      free_slot t i;
+      dispatch t kind node msg timer fn
 
 let initial_slots = 256
 
@@ -502,6 +577,10 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
       event_seq = 0;
       now = 0;
       cur_seq = 0;
+      slot_queued = Array.make (n * Participant.timer_slots) false;
+      slot_at = Array.make (n * Participant.timer_slots) 0;
+      slot_seq = Array.make (n * Participant.timer_slots) 0;
+      slot_timer = Array.make (n * Participant.timer_slots) No_timer;
       prng = Prng.create ~seed;
       nic_free = Array.make n 0;
       ports =
@@ -530,6 +609,8 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
           switch_drops = 0;
           random_losses = 0;
           partition_drops = 0;
+          timers_fired = 0;
+          timers_superseded = 0;
         };
     }
   in
@@ -613,7 +694,9 @@ let record_metrics t reg =
   c "netsim.packets_sent" t.stats.packets_sent;
   c "netsim.switch_drops" t.stats.switch_drops;
   c "netsim.random_losses" t.stats.random_losses;
-  c "netsim.partition_drops" t.stats.partition_drops
+  c "netsim.partition_drops" t.stats.partition_drops;
+  c "netsim.timers_fired" t.stats.timers_fired;
+  c "netsim.timers_superseded" t.stats.timers_superseded
 
 let run_until t horizon =
   while t.q_len > 0 && t.q.(0) <= horizon do

@@ -18,7 +18,13 @@
       (partitions), and node crashes.
 
     Everything is deterministic for a given seed: events are ordered by
-    (time, insertion sequence). Time is in nanoseconds from 0. *)
+    (time, insertion sequence). Time is in nanoseconds from 0. A timer
+    armed with [Participant.Rearm_timer] fires at exactly the key an
+    [Arm_timer] of the same timer would have had. The simulator queues
+    one event per (node, timer slot), not one per arm, so superseded
+    arms are not dispatched; the one exception is a re-arm with an
+    earlier deadline than the slot's, which is queued as a plain timer
+    while the slot's event still fires its superseded timer. *)
 
 open Aring_wire
 open Aring_ring
@@ -30,6 +36,11 @@ type stats = {
   mutable switch_drops : int;  (** Output-port buffer overflows. *)
   mutable random_losses : int;  (** Per-receiver random losses. *)
   mutable partition_drops : int;  (** Dropped by the partition predicate. *)
+  mutable timers_fired : int;
+      (** Timers handed to a participant's [fire_timer]. *)
+  mutable timers_superseded : int;
+      (** [Rearm_timer] arms superseded by a later arm in the same slot
+          before their deadline; these never fire. *)
 }
 
 val create :

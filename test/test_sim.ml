@@ -599,6 +599,223 @@ let test_asym_validation () =
       Netsim.set_latency_classes c.sim ~classes:[| 0; 0; 0; 0 |]
         ~matrix:[| [| 0; 1 |] |])
 
+(* ------------------------------------------------------------------ *)
+(* Superseding timers (Participant.Rearm_timer)                        *)
+
+(* Test-only wrapper: every [Rearm_timer] becomes a plain [Arm_timer], so
+   the simulator queues one event per arm and fires every superseded
+   timer — the behaviour the superseding queue must reproduce. *)
+let rearm_as_arm (p : Participant.t) : Participant.t =
+  let plain =
+    List.map (function
+      | Participant.Rearm_timer (_, tm, delay) -> Participant.Arm_timer (tm, delay)
+      | a -> a)
+  in
+  {
+    p with
+    process = (fun m -> plain (p.process m));
+    fire_timer = (fun tm -> plain (p.fire_timer tm));
+    start = (fun () -> plain (p.start ()));
+  }
+
+let member_ring ?(net = Profile.gigabit) ?(wrap = Fun.id) n =
+  let ring = Array.init n Fun.id in
+  let members =
+    Array.init n (fun me ->
+        Member.create ~params:Params.default ~me ~initial_ring:ring ())
+  in
+  let sim =
+    Netsim.create ~net ~tiers:(Array.make n Profile.library)
+      ~participants:(Array.map (fun m -> wrap (Member.participant m)) members)
+      ()
+  in
+  (sim, members)
+
+(* An idle ring re-arms both token timers on every token visit, thousands
+   of times a second per node; only arms that outlive their slot's next
+   re-arm may fire, which on a healthy ring is almost none. The bound is
+   two of each token timer per period per node (20 ms retransmit, 200 ms
+   loss at the defaults), far below one fire per visit. *)
+let test_idle_ring_timer_fires_bounded () =
+  let n = 4 in
+  let sim, members = member_ring n in
+  Netsim.run_until sim (ms 1_000);
+  let st = Netsim.stats sim in
+  let per_s ns = 1_000_000_000 / ns in
+  let bound =
+    n * 2
+    * (per_s Params.default.token_retransmit_ns + per_s Params.default.token_loss_ns)
+  in
+  let rounds =
+    match Member.node members.(0) with
+    | Some node -> (Engine.stats (Node.engine node)).rounds
+    | None -> 0
+  in
+  check Alcotest.bool "token circulated" true (rounds > 1_000);
+  check Alcotest.bool
+    (Printf.sprintf "timers fired %d <= %d" st.timers_fired bound)
+    true
+    (st.timers_fired <= bound);
+  check Alcotest.bool "re-arms superseded" true
+    (st.timers_superseded >= 2 * rounds);
+  let reg = Aring_obs.Metrics.create () in
+  Netsim.record_metrics sim reg;
+  check Alcotest.int "netsim.timers_fired exported" st.timers_fired
+    (Aring_obs.Metrics.counter_value reg "netsim.timers_fired");
+  check Alcotest.int "netsim.timers_superseded exported" st.timers_superseded
+    (Aring_obs.Metrics.counter_value reg "netsim.timers_superseded")
+
+(* A lossy 4-node Member cluster under load, with a token blackout longer
+   than the token-loss timeout (membership re-forms) and then a crash:
+   superseding timers must give exactly the run that fires every arm. *)
+let test_rearm_matches_plain_arms () =
+  let run wrap =
+    let net = Profile.with_loss Profile.gigabit 0.01 in
+    let sim, _ = member_ring ~net ~wrap 4 in
+    let delivered = Array.make 4 [] and views = Array.make 4 [] in
+    Netsim.on_deliver sim (fun ~at ~now (d : Message.data) ->
+        delivered.(at) <- (now, d.d_ring, d.pid, d.seq) :: delivered.(at));
+    Netsim.on_view sim (fun ~at ~now v -> views.(at) <- (now, v) :: views.(at));
+    for k = 0 to 399 do
+      Netsim.submit_at sim ~at:(k * 2_500_000) ~node:(k mod 4) Types.Agreed
+        (Bytes.make 200 'x')
+    done;
+    Netsim.call_at sim ~at:(ms 100) (fun () ->
+        Netsim.set_drop_until sim ~until:(ms 400) (fun ~src:_ ~dst:_ m ->
+            match m with Message.Token _ -> true | _ -> false));
+    Netsim.call_at sim ~at:(ms 600) (fun () -> Netsim.crash sim 3);
+    let hash = ref Aring_util.Fnv.offset in
+    let sink =
+      Aring_obs.Trace.fn_sink (fun ev ->
+          hash :=
+            Aring_util.Fnv.string
+              (Aring_util.Fnv.string !hash (Aring_obs.Trace_json.to_line ev))
+              "\n")
+    in
+    Aring_obs.Trace.with_sink sink (fun () -> Netsim.run_until sim (ms 1_500));
+    (delivered, views, !hash, Netsim.stats sim)
+  in
+  let d1, v1, h1, s1 = run Fun.id in
+  let d2, v2, h2, s2 = run rearm_as_arm in
+  check Alcotest.bool "identical delivery streams" true (d1 = d2);
+  check Alcotest.bool "identical views" true (v1 = v2);
+  check Alcotest.string "identical trace hash" (Printf.sprintf "%016Lx" h2)
+    (Printf.sprintf "%016Lx" h1);
+  check Alcotest.bool "membership re-formed" true
+    (List.length v1.(0) >= 5);
+  check Alcotest.bool "every survivor delivered" true
+    (List.for_all (fun i -> List.length d1.(i) > 300) [ 0; 1; 2 ]);
+  check Alcotest.int "plain arms supersede nothing" 0 s2.timers_superseded;
+  check Alcotest.bool "superseding fires far fewer timers" true
+    (s1.timers_fired * 10 < s2.timers_fired)
+
+(* One participant on a one-node simulator whose timers are named: each
+   fire logs "<name>@<now>" and returns [script name]; [start] returns
+   [script "start"]. Each of [calls] is (from, at, name): a callback that
+   logs the same way, run at [at] and scheduled at [from] (before the
+   run when [from] is 0), so its seq follows every arm made before
+   [from]. Returns the log, oldest first, and the simulator's counters. *)
+type Participant.timer += Tick of string
+
+let scripted_run ?(wrap = Fun.id) script calls =
+  let log = ref [] in
+  let sim = ref None in
+  let note name =
+    log := Printf.sprintf "%s@%d" name (Netsim.now (Option.get !sim)) :: !log
+  in
+  let p : Participant.t =
+    {
+      pid = 0;
+      submit = (fun _ _ -> ());
+      receive = (fun _ -> `Queued);
+      has_work = (fun () -> false);
+      take_next = (fun () -> None);
+      process = (fun _ -> []);
+      fire_timer =
+        (function
+        | Tick name ->
+            note name;
+            script name
+        | _ -> []);
+      start = (fun () -> script "start");
+    }
+  in
+  let s =
+    Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
+      ~participants:[| wrap p |] ()
+  in
+  sim := Some s;
+  List.iter
+    (fun (from, at, name) ->
+      let call () = Netsim.call_at s ~at (fun () -> note name) in
+      if from = 0 then call () else Netsim.call_at s ~at:from call)
+    calls;
+  Netsim.run_until s 10_000;
+  (List.rev !log, Netsim.stats s)
+
+(* Timer actions run at the firing instant + 500 ns; [start] at 0. *)
+let rearm name delay = Participant.Rearm_timer (0, Tick name, delay)
+
+(* Slot 0 is armed with [a] for 1500 and, from a kick at 500, re-armed
+   with [b] for 2000. [a] never fires; [b] fires at exactly the key its
+   own event would have had: after a call at 2000 scheduled before the
+   re-arm, before one scheduled after it (at 1000, while [a]'s event
+   still waits for 1500, so a requeue that drew a fresh seq there would
+   run [b] after that call). Calls at 1500, scheduled before and after
+   [a]'s arm, run undisturbed by [a]'s queued event popping there. *)
+let test_rearm_tie_order () =
+  let script = function
+    | "start" -> [ rearm "a" 1500; Participant.Arm_timer (Tick "kick", 500) ]
+    | "kick" -> [ rearm "b" 1000 ]
+    | _ -> []
+  in
+  let calls =
+    [ (0, 1500, "early1500"); (0, 2000, "early2000");
+      (100, 1500, "late1500"); (1000, 2000, "late2000") ]
+  in
+  let log, st = scripted_run script calls in
+  check
+    Alcotest.(list string)
+    "pinned order"
+    [ "kick@500"; "early1500@1500"; "late1500@1500"; "early2000@2000";
+      "b@2000"; "late2000@2000" ]
+    log;
+  check Alcotest.int "one arm superseded" 1 st.timers_superseded;
+  check Alcotest.int "kick and b fired" 2 st.timers_fired;
+  let plain, _ = scripted_run ~wrap:rearm_as_arm script calls in
+  check
+    Alcotest.(list string)
+    "plain arms: the same order plus a's no-op fire"
+    [ "kick@500"; "early1500@1500"; "a@1500"; "late1500@1500";
+      "early2000@2000"; "b@2000"; "late2000@2000" ]
+    plain
+
+(* A re-arm with an earlier deadline than the slot's queued one falls
+   back to a plain event: it fires on time, and the queued arm it
+   supersedes still fires at its own key (a no-op by the contract) —
+   unless a later re-arm supersedes that one in turn. *)
+let test_rearm_earlier_deadline_fallback () =
+  let script ~then_c = function
+    | "start" -> [ rearm "a" 3000; Participant.Arm_timer (Tick "kick", 500) ]
+    | "kick" -> [ rearm "b" 500 ]
+    | "b" when then_c -> [ rearm "c" 2000 ]
+    | _ -> []
+  in
+  let log, st = scripted_run (script ~then_c:false) [] in
+  check
+    Alcotest.(list string)
+    "b on time, a at its own key" [ "kick@500"; "b@1500"; "a@3000" ] log;
+  check Alcotest.int "nothing superseded" 0 st.timers_superseded;
+  let log, st = scripted_run (script ~then_c:true) [] in
+  check
+    Alcotest.(list string)
+    "c supersedes a" [ "kick@500"; "b@1500"; "c@4000" ] log;
+  check Alcotest.int "a superseded" 1 st.timers_superseded;
+  let plain, _ = scripted_run ~wrap:rearm_as_arm (script ~then_c:true) [] in
+  check
+    Alcotest.(list string)
+    "plain arms" [ "kick@500"; "b@1500"; "a@3000"; "c@4000" ] plain
+
 let suite =
   [
     ("idle token circulates", `Quick, test_idle_token_circulates);
@@ -629,4 +846,11 @@ let suite =
     ("latency classes honored", `Quick, test_latency_classes_honored);
     ("asym deterministic replay", `Quick, test_asym_deterministic_replay);
     ("asym validation", `Quick, test_asym_validation);
+    ("idle ring fires few token timers", `Quick,
+      test_idle_ring_timer_fires_bounded);
+    ("rearm matches plain arms (loss, blackout, crash)", `Quick,
+      test_rearm_matches_plain_arms);
+    ("rearm tie order pinned", `Quick, test_rearm_tie_order);
+    ("rearm earlier deadline falls back", `Quick,
+      test_rearm_earlier_deadline_fallback);
   ]

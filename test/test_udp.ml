@@ -133,8 +133,52 @@ let test_daemon_stack_over_udp () =
     (String.concat "," (Aring_daemon.Daemon.group_members daemons.(0) "room"))
     (String.concat "," (Aring_daemon.Daemon.group_members daemons.(1) "room"))
 
+
+(* Superseding timers over the real select loop: slot 0 armed three
+   times fires once, with the last arm's timer; in slot 1 a re-arm with
+   an earlier deadline falls back to a plain timer, so both fire, the
+   earlier first. *)
+type Participant.timer += Named of string
+
+let test_rearm_slot_fires_once () =
+  let port = base_port + 200 in
+  let fired = ref [] in
+  let rearm slot name ms = Participant.Rearm_timer (slot, Named name, ms * 1_000_000) in
+  let participant : Participant.t =
+    {
+      pid = 0;
+      submit = (fun _ _ -> ());
+      receive = (fun _ -> `Queued);
+      has_work = (fun () -> false);
+      take_next = (fun () -> None);
+      process = (fun _ -> []);
+      fire_timer =
+        (function
+        | Named name ->
+            fired := name :: !fired;
+            []
+        | _ -> []);
+      start =
+        (fun () ->
+          [ rearm 0 "a" 5; rearm 0 "b" 10; rearm 0 "c" 15; rearm 1 "x" 40;
+            rearm 1 "y" 20 ]);
+    }
+  in
+  let rt =
+    Udp_runtime.create ~me:0
+      ~peers:
+        [ { Udp_runtime.pid = 0; host = "127.0.0.1"; data_port = port;
+            token_port = port + 1 } ]
+      ~participant ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Udp_runtime.close rt)
+    (fun () -> Udp_runtime.run rt ~duration_s:0.15);
+  check Alcotest.(list string) "fires" [ "c"; "y"; "x" ] (List.rev !fired)
+
 let suite =
   [
     ("3-node UDP ring", `Slow, test_three_node_udp_ring);
     ("daemon stack over UDP", `Slow, test_daemon_stack_over_udp);
+    ("rearmed slot fires once", `Quick, test_rearm_slot_fires_once);
   ]
