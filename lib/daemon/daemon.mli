@@ -50,8 +50,11 @@ val create : ?packing:bool -> ?pack_threshold:int -> member:Member.t -> unit -> 
     packed into a single protocol packet of at most [pack_threshold]
     bytes (default 1300) — Spread's packing feature for amortizing
     per-packet costs over small messages. Submissions accumulated between
-    runtime events are flushed together at the next event; packing trades
-    a little latency for large small-message throughput gains. *)
+    runtime events are flushed together at the next token or fired
+    timer; a runtime that skips superseded
+    {!Participant.Rearm_timer}s fires fewer timers, so batches can grow
+    larger. Packing trades a little latency for large small-message
+    throughput gains. *)
 
 val flush : t -> unit
 (** Force out any buffered packed submissions now. *)

@@ -44,10 +44,17 @@ type action =
           in timer slot [slot] ([0 <= slot < timer_slots]). It supersedes
           every timer this participant armed earlier in the same slot, and
           the participant promises that each superseded timer would have
-          fired as a no-op (an empty action list and no state change). A
+          fired as a no-op: an empty action list and no state change,
+          except work the participant does on every event anyway. A
           runtime may therefore skip them and keep one pending deadline
           per slot, or treat this exactly as [Arm_timer (timer, delay)];
-          both give the same behaviour. {!Node} arms the engine's token
+          both give the same behaviour. The one such exception in this
+          library is [Daemon] with [~packing:true]: its [fire_timer]
+          first flushes the pack buffer, so a skipped superseded timer
+          leaves buffered envelopes for the next token's (or live
+          timer's) flush. That moves batch boundaries only; each
+          sender's envelopes keep their order, and with packing off (the
+          default) the flush is empty. {!Node} arms the engine's token
           retransmit timer in slot 0 and its token-loss timer in slot 1:
           every engine re-arm either follows a bump of that timer's
           generation (a token visit) or comes from the firing timer

@@ -11,18 +11,6 @@ type peer = {
   token_port : int;
 }
 
-(* A queued timer: a plain [Arm_timer], or the one pending entry of a
-   [Rearm_timer] slot, whose deadline and timer live in the slot. *)
-type pending = Plain of Participant.timer | Slot of int
-
-type slot = {
-  mutable queued : bool;  (* the slot has an entry in [timers] *)
-  mutable due : int;  (* the latest arm's deadline, absolute ns *)
-  mutable timer : Participant.timer;  (* the latest arm's timer *)
-}
-
-type Participant.timer += No_timer  (* held by an idle slot *)
-
 type t = {
   me : Types.pid;
   peers : (Types.pid * Unix.sockaddr * Unix.sockaddr) list;
@@ -30,8 +18,7 @@ type t = {
   participant : Participant.t;
   data_sock : Unix.file_descr;
   token_sock : Unix.file_descr;
-  timers : (int * pending) Heap.t;  (* absolute ns *)
-  slots : slot array;  (* one per [Participant.timer_slots] *)
+  timers : (int * Participant.timer) Heap.t;  (* absolute ns *)
   recv_buf : bytes;
   pool : Message.Pool.pool;
       (* Reusable encode scratch + decode cursor: sends go straight from
@@ -77,9 +64,6 @@ let create ~me ~peers ~participant ?(on_deliver = fun _ -> ())
     data_sock = make_socket ~port:self.data_port;
     token_sock = make_socket ~port:self.token_port;
     timers = Heap.create ~cmp:(fun ((a : int), _) (b, _) -> Int.compare a b);
-    slots =
-      Array.init Participant.timer_slots (fun _ ->
-          { queued = false; due = 0; timer = No_timer });
     recv_buf = Bytes.create 65536;
     pool = Message.Pool.create ~initial_capacity:65536 ();
     on_deliver;
@@ -126,26 +110,6 @@ let route_of_message = function
   | Message.Token _ | Message.Commit _ -> `Token
   | Message.Data _ | Message.Join _ -> `Data
 
-(* One heap entry per slot: a later deadline only overwrites the slot,
-   superseding the arm before it; an earlier one falls back to a plain
-   entry, and the slot's entry then fires the superseded timer (a no-op
-   by the [Rearm_timer] contract). *)
-let rearm t slot timer due =
-  if slot < 0 || slot >= Participant.timer_slots then
-    invalid_arg "Udp_runtime: Rearm_timer slot out of range";
-  let s = t.slots.(slot) in
-  if not s.queued then begin
-    s.queued <- true;
-    s.due <- due;
-    s.timer <- timer;
-    Heap.push t.timers (due, Slot slot)
-  end
-  else if due >= s.due then begin
-    s.due <- due;
-    s.timer <- timer
-  end
-  else Heap.push t.timers (due, Plain timer)
-
 let rec interpret t actions =
   List.iter
     (fun action ->
@@ -175,10 +139,14 @@ let rec interpret t actions =
                    transitional = v.transitional;
                  });
           t.on_view v
-      | Participant.Arm_timer (timer, delay_ns) ->
-          Heap.push t.timers (now_ns () + delay_ns, Plain timer)
-      | Participant.Rearm_timer (slot, timer, delay_ns) ->
-          rearm t slot timer (now_ns () + delay_ns)
+      | Participant.Arm_timer (timer, delay_ns)
+      | Participant.Rearm_timer (_, timer, delay_ns) ->
+          (* A superseded arm fires as a no-op, so a re-arm gets its own
+             heap entry exactly like [Arm_timer]. One entry per slot was
+             measured slower on loopback: with fewer timers due, [run]'s
+             select more often sleeps out a tiny timeout, which the
+             kernel rounds up to tens of microseconds. *)
+          Heap.push t.timers (now_ns () + delay_ns, timer)
       | Participant.Token_loss_detected ->
           (* A bare Node would surface this; a Member handles it itself. *)
           ())
@@ -188,19 +156,8 @@ and fire_due_timers t =
   let rec loop () =
     match Heap.peek t.timers with
     | Some (at, _) when at <= now_ns () ->
-        (match Heap.pop_exn t.timers with
-        | _, Plain timer -> interpret t (t.participant.fire_timer timer)
-        | at, Slot slot ->
-            let s = t.slots.(slot) in
-            if s.due > at then
-              (* Superseded: wait for the latest arm's deadline. *)
-              Heap.push t.timers (s.due, Slot slot)
-            else begin
-              let timer = s.timer in
-              s.queued <- false;
-              s.timer <- No_timer;
-              interpret t (t.participant.fire_timer timer)
-            end);
+        let _, timer = Heap.pop_exn t.timers in
+        interpret t (t.participant.fire_timer timer);
         loop ()
     | Some _ | None -> ()
   in
