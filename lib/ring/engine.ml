@@ -85,7 +85,13 @@ type t = {
      decides how many admitted messages precede the token, so changing
      it never affects flow control or any ring-wide agreement. *)
   mutable accelerated_window : int;
-  mutable last_signals : round_signals option;
+  (* The last accepted token's [round_signals], kept unboxed: only an
+     attached controller reads them, through [last_round_signals]. *)
+  mutable sig_round : Types.round;  (* -1 before the first accepted token *)
+  mutable sig_fcc : int;
+  mutable sig_retrans : int;
+  mutable sig_backlog : int;
+  mutable sig_allowed_new : int;
   stats : stats;
 }
 
@@ -193,7 +199,11 @@ let create ~params ~ring_id ~ring ~me =
     loss_gen = 0;
     retransmit_count = 0;
     accelerated_window = params.accelerated_window;
-    last_signals = None;
+    sig_round = -1;
+    sig_fcc = 0;
+    sig_retrans = 0;
+    sig_backlog = 0;
+    sig_allowed_new = 0;
     stats =
       {
         rounds = 0;
@@ -249,7 +259,17 @@ let accelerated_window t = t.accelerated_window
 let set_accelerated_window t w =
   t.accelerated_window <- max 0 (min t.params.personal_window w)
 
-let last_round_signals t = t.last_signals
+let last_round_signals t =
+  if t.sig_round < 0 then None
+  else
+    Some
+      {
+        sr_round = t.sig_round;
+        sr_fcc = t.sig_fcc;
+        sr_retrans = t.sig_retrans;
+        sr_backlog = t.sig_backlog;
+        sr_allowed_new = t.sig_allowed_new;
+      }
 
 let undelivered_after_cursor t =
   let acc = ref [] in
@@ -553,15 +573,11 @@ let handle_token t (tok : Message.token) =
         ]
     in
     collect_garbage t;
-    t.last_signals <-
-      Some
-        {
-          sr_round = t.round;
-          sr_fcc = tok.fcc;
-          sr_retrans = num_retrans + List.length my_missing;
-          sr_backlog = backlog_at_token;
-          sr_allowed_new = allowed_new;
-        };
+    t.sig_round <- t.round;
+    t.sig_fcc <- tok.fcc;
+    t.sig_retrans <- num_retrans + List.length my_missing;
+    t.sig_backlog <- backlog_at_token;
+    t.sig_allowed_new <- allowed_new;
     List.rev_append rev_retrans
       (List.rev_append !rev_pre
          (Send_token (successor t, token')

@@ -60,37 +60,42 @@ let controller t = t.controller
    it changed something. No controller, no cost — and no trace events,
    keeping controller-off runs byte-identical. *)
 let run_controller t =
-  match (t.controller, Engine.last_round_signals t.engine) with
-  | None, _ | _, None -> ()
-  | Some c, Some (s : Engine.round_signals) ->
-      let now = Trace.now () in
-      let rotation_ns = if t.last_token_ns < 0 then 0 else now - t.last_token_ns in
-      t.last_token_ns <- now;
-      let d =
-        Controller.observe c
-          {
-            Controller.rotation_ns;
-            fcc = s.sr_fcc;
-            retrans = s.sr_retrans;
-            backlog = s.sr_backlog;
-          }
-      in
-      if d.Controller.aw_after <> d.Controller.aw_before then begin
-        Engine.set_accelerated_window t.engine d.Controller.aw_after;
-        if Trace.enabled () then
-          Trace.emit ~node:(Engine.me t.engine)
-            (Trace.Control
-               {
-                 round = s.sr_round;
-                 aw_before = d.Controller.aw_before;
-                 aw_after = d.Controller.aw_after;
-                 congested = d.Controller.congested;
-                 rotation_ns;
-                 fcc = s.sr_fcc;
-                 retrans = s.sr_retrans;
-                 backlog = s.sr_backlog;
-               })
-      end
+  match t.controller with
+  | None -> ()
+  | Some c -> (
+      match Engine.last_round_signals t.engine with
+      | None -> ()
+      | Some (s : Engine.round_signals) ->
+          let now = Trace.now () in
+          let rotation_ns =
+            if t.last_token_ns < 0 then 0 else now - t.last_token_ns
+          in
+          t.last_token_ns <- now;
+          let d =
+            Controller.observe c
+              {
+                Controller.rotation_ns;
+                fcc = s.sr_fcc;
+                retrans = s.sr_retrans;
+                backlog = s.sr_backlog;
+              }
+          in
+          if d.Controller.aw_after <> d.Controller.aw_before then begin
+            Engine.set_accelerated_window t.engine d.Controller.aw_after;
+            if Trace.enabled () then
+              Trace.emit ~node:(Engine.me t.engine)
+                (Trace.Control
+                   {
+                     round = s.sr_round;
+                     aw_before = d.Controller.aw_before;
+                     aw_after = d.Controller.aw_after;
+                     congested = d.Controller.congested;
+                     rotation_ns;
+                     fcc = s.sr_fcc;
+                     retrans = s.sr_retrans;
+                     backlog = s.sr_backlog;
+                   })
+          end)
 
 let action_of_output = function
   | Engine.Send_token (pid, tok) -> Participant.Unicast (pid, Message.Token tok)
@@ -149,11 +154,11 @@ let has_work t =
   not (Deque.is_empty t.token_q.q && Deque.is_empty t.data_q.q)
 
 let dequeue queue =
-  match Deque.pop_front queue.q with
-  | None -> None
-  | Some msg ->
-      queue.occupied <- queue.occupied - Message.wire_size msg;
-      Some msg
+  let r = Deque.pop_front queue.q in
+  (match r with
+  | None -> ()
+  | Some msg -> queue.occupied <- queue.occupied - Message.wire_size msg);
+  r
 
 let take_next t =
   if Priority.token_has_priority t.prio then

@@ -24,7 +24,17 @@
     one event per (node, timer slot), not one per arm, so superseded
     arms are not dispatched; the one exception is a re-arm with an
     earlier deadline than the slot's, which is queued as a plain timer
-    while the slot's event still fires its superseded timer. *)
+    while the slot's event still fires its superseded timer.
+
+    The queue has two tiers. Events due less than 1 ms after the instant
+    they are queued (packet arrivals, CPU runs) wait in a near heap; the
+    rest (a workload's pre-scheduled {!call_at} callbacks, token
+    timeouts) wait in a far heap, so the frequent near events never sift
+    through a large schedule. Each dispatch pops whichever root has the
+    smaller (time, sequence) key and no event changes tier, so the tiers
+    never change the dispatch order: traces and results are identical
+    to a single queue's. The horizon is internal; 100 µs and 10 ms
+    measured the same as 1 ms. *)
 
 open Aring_wire
 open Aring_ring
@@ -41,6 +51,10 @@ type stats = {
   mutable timers_superseded : int;
       (** [Rearm_timer] arms superseded by a later arm in the same slot
           before their deadline; these never fire. *)
+  mutable near_pushes : int;
+      (** Events queued in the near tier (due less than 1 ms after they
+          were queued), counting each superseding timer's requeue. *)
+  mutable far_pushes : int;  (** Events queued in the far tier. *)
 }
 
 val create :

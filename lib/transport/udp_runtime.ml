@@ -180,6 +180,16 @@ let drain_socket t sock =
             t.decode_errors <- t.decode_errors + 1)
   done
 
+(* Below [poll_below_ns] before the next timer or the run deadline,
+   [run] polls instead of sleeping: the kernel stretches a select timeout
+   that short to tens of microseconds, far past the deadline. *)
+let poll_below_ns = 100_000
+let max_select_s = 0.05
+
+let select_timeout ~has_work ~remaining_ns =
+  if has_work || remaining_ns < poll_below_ns then 0.0
+  else Float.min (float_of_int remaining_ns /. 1e9) max_select_s
+
 let run t ~duration_s =
   t.stop_requested <- false;
   (* Real deployments trace in wall-clock nanoseconds. *)
@@ -190,18 +200,17 @@ let run t ~duration_s =
   end;
   let deadline = now_ns () + int_of_float (duration_s *. 1e9) in
   while (not t.stop_requested) && now_ns () < deadline do
+    let next_due =
+      match Heap.peek t.timers with
+      | Some (at, _) when at < deadline -> at
+      | Some _ | None -> deadline
+    in
     let timeout_s =
-      if t.participant.has_work () then 0.0
-      else begin
-        let next_timer =
-          match Heap.peek t.timers with Some (at, _) -> at | None -> deadline
-        in
-        let until = min next_timer deadline - now_ns () in
-        Float.max 0.0 (float_of_int until /. 1e9)
-      end
+      select_timeout ~has_work:(t.participant.has_work ())
+        ~remaining_ns:(next_due - now_ns ())
     in
     let readable, _, _ =
-      try Unix.select [ t.data_sock; t.token_sock ] [] [] (Float.min timeout_s 0.05)
+      try Unix.select [ t.data_sock; t.token_sock ] [] [] timeout_s
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     List.iter (fun sock -> drain_socket t sock) readable;

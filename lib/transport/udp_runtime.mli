@@ -38,7 +38,15 @@ val create :
 
 val run : t -> duration_s:float -> unit
 (** Run the event loop for (approximately) the given wall-clock duration.
-    Can be called repeatedly. *)
+    Can be called repeatedly. Each pass waits in [Unix.select] for the
+    timeout {!select_timeout} picks. *)
+
+val select_timeout : has_work:bool -> remaining_ns:int -> float
+(** The select timeout (seconds) of one {!run} pass, given whether the
+    participant has queued work and the ns left before the next timer or
+    the run deadline, whichever is sooner: 0 (a poll) with work pending
+    or under 100 µs left, since the kernel stretches a shorter sleep to
+    tens of µs; otherwise the time left, capped at 50 ms. *)
 
 val stop : t -> unit
 (** Ask a concurrently running {!run} to return promptly (thread-safe). *)

@@ -12,7 +12,21 @@ let is_empty d = d.size = 0
 
 let capacity d = Array.length d.data
 
-(* Grow to double capacity, re-packing elements at offset 0. *)
+(* A cell that holds no element holds the immediate 0, which references
+   nothing, so the buffer keeps no popped or cleared element reachable;
+   0 is a valid cell of any array of boxed values. A flat float array (a
+   float deque's buffer) holds no pointers and cannot store an
+   immediate, so its cells are left as they are. *)
+let boxed d = Obj.tag (Obj.repr d.data) <> Obj.double_array_tag
+
+let vacate d i = if boxed d then d.data.(i) <- Obj.magic 0
+
+let vacate_range d pos len =
+  if boxed d then Array.fill d.data pos len (Obj.magic 0)
+
+(* Grow to double capacity, re-packing elements at offset 0. [seed] only
+   gives the new buffer its representation; the unused cells are then
+   vacated so they do not keep [seed] alive. *)
 let grow d seed =
   let old_cap = capacity d in
   let cap = max 16 (2 * old_cap) in
@@ -21,7 +35,8 @@ let grow d seed =
     data.(i) <- d.data.((d.head + i) mod old_cap)
   done;
   d.data <- data;
-  d.head <- 0
+  d.head <- 0;
+  vacate_range d d.size (cap - d.size)
 
 let push_back d x =
   if d.size >= capacity d then grow d x;
@@ -38,6 +53,7 @@ let pop_front d =
   if d.size = 0 then None
   else begin
     let x = d.data.(d.head) in
+    vacate d d.head;
     d.head <- (d.head + 1) mod capacity d;
     d.size <- d.size - 1;
     Some x
@@ -46,7 +62,9 @@ let pop_front d =
 let pop_back d =
   if d.size = 0 then None
   else begin
-    let x = d.data.((d.head + d.size - 1) mod capacity d) in
+    let i = (d.head + d.size - 1) mod capacity d in
+    let x = d.data.(i) in
+    vacate d i;
     d.size <- d.size - 1;
     Some x
   end
@@ -58,6 +76,9 @@ let peek_back d =
   else Some d.data.((d.head + d.size - 1) mod capacity d)
 
 let clear d =
+  let first = min d.size (capacity d - d.head) in
+  vacate_range d d.head first;
+  vacate_range d 0 (d.size - first);
   d.head <- 0;
   d.size <- 0
 

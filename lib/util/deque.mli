@@ -2,7 +2,8 @@
 
     Used for the per-node receive queues (token socket / data socket) and the
     pre-token multicast queue of the ordering engine. All operations are
-    amortized O(1). *)
+    amortized O(1). The buffer keeps no reference to an element once it
+    is popped or cleared, so the element can be collected at once. *)
 
 type 'a t
 

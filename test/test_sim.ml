@@ -816,6 +816,286 @@ let test_rearm_earlier_deadline_fallback () =
     Alcotest.(list string)
     "plain arms" [ "kick@500"; "b@1500"; "a@3000"; "c@4000" ] plain
 
+(* ------------------------------------------------------------------ *)
+(* Two-tier event queue                                                 *)
+
+(* The queue's near/far split must not change what runs when. A seeded
+   script drives one participant: timer fires emit plain arms,
+   superseding re-arms in both slots and loopback packets; callbacks
+   schedule further callbacks; more callbacks are scheduled between
+   [run_until] calls of varied length. Delays straddle the 1 ms near
+   horizon (some land exactly on it), reach into the past (clamped) and
+   repeat (same-instant ties), and re-arms whose queued event must be
+   requeued across the horizon occur throughout. The dispatched
+   (time, seq, kind) sequence must equal a reference model: a sorted
+   list keyed (clamped time, seq) in which a re-arm replaces its slot's
+   pending arm outright, so it shares no mechanism with the queue's
+   lazy requeue. Seqs are drawn one per scheduled event, in schedule
+   order, exactly as the simulator draws them. *)
+
+type Participant.timer += Dtick of int
+
+type dspec = D_arm of int | D_rearm of int * int | D_loop
+
+let tier_horizon = 1_000_000
+let tier_budget = 800  (* events per run; later ones schedule nothing *)
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+let tier_delay st =
+  if Random.State.int st 4 = 0 then Random.State.int st 3_000_000
+  else
+    pick st
+      [| 0; 1; 500; 20_000; tier_horizon - 1_000; tier_horizon - 500;
+         tier_horizon - 1; tier_horizon; tier_horizon + 1; 2 * tier_horizon;
+         5 * tier_horizon; -3_000 |]
+
+(* What the fire of event [id] (or the start, id 0) emits. *)
+let tier_actions seed id =
+  if id >= tier_budget then []
+  else
+    let st = Random.State.make [| seed; id; 1 |] in
+    List.init (1 + Random.State.int st 3) (fun _ ->
+        match Random.State.int st 5 with
+        | 0 -> D_arm (tier_delay st)
+        | 1 | 2 | 3 ->
+            (* Mostly a timeout per slot, as the token timers are, so
+               later re-arms supersede earlier ones: slot 0 straddles the
+               horizon, slot 1 lies beyond it. *)
+            let slot = Random.State.int st 2 in
+            let d =
+              match (Random.State.int st 3, slot) with
+              | 0, _ -> tier_delay st
+              | _, 0 -> tier_horizon - 2_000 + Random.State.int st 4_000
+              | _ -> (2 * tier_horizon) + Random.State.int st (3 * tier_horizon)
+            in
+            D_rearm (slot, d)
+        | _ -> D_loop)
+
+(* The offsets from now at which callback [id] schedules callbacks. *)
+let tier_calls seed id =
+  if id >= tier_budget then []
+  else
+    let st = Random.State.make [| seed; id; 2 |] in
+    List.init (Random.State.int st 3) (fun _ -> tier_delay st)
+
+(* (run_until gap, offsets of callbacks scheduled before that run). Half
+   the runs first pre-schedule a driver-like batch of up to 400 callbacks
+   over 5 ms, so both tiers hold hundreds of events while the slot arrays
+   grow. *)
+let tier_phases seed =
+  let st = Random.State.make [| seed; 3 |] in
+  let phase _ =
+    ( pick st [| 0; 1; tier_horizon - 1; tier_horizon; 3 * tier_horizon; 700_000 |],
+      List.init (Random.State.int st 4) (fun _ -> tier_delay st) )
+  in
+  let batch =
+    if Random.State.bool st then
+      [ (0, List.init (Random.State.int st 400) (fun _ -> Random.State.int st 5_000_000)) ]
+    else []
+  in
+  batch @ List.init (1 + Random.State.int st 6) phase
+
+let send_op_ns = Profile.library.send_op_ns
+
+(* The simulator's dispatch log: (time, seq, kind), seq = schedule
+   index, the start callback being 0. *)
+let tier_real seed =
+  let log = ref [] and kinds = Hashtbl.create 64 in
+  let next = ref 1 in
+  let fresh kind =
+    let id = !next in
+    incr next;
+    Hashtbl.replace kinds id kind;
+    id
+  in
+  Hashtbl.replace kinds 0 "start";
+  let sim = ref None in
+  let now () = Netsim.now (Option.get !sim) in
+  let note id = log := (now (), id, Hashtbl.find kinds id) :: !log in
+  let actions id =
+    List.map
+      (function
+        | D_arm d -> Participant.Arm_timer (Dtick (fresh "arm"), d)
+        | D_rearm (s, d) -> Participant.Rearm_timer (s, Dtick (fresh "rearm"), d)
+        | D_loop ->
+            Participant.Unicast
+              ( 0,
+                Message.Join
+                  { j_pid = 0; proc_set = []; fail_set = []; join_seq = fresh "loop" } ))
+      (tier_actions seed id)
+  in
+  let rec call id () =
+    note id;
+    List.iter
+      (fun off ->
+        let c = fresh "call" in
+        Netsim.call_at (Option.get !sim) ~at:(now () + off) (call c))
+      (tier_calls seed id)
+  in
+  let p : Participant.t =
+    {
+      pid = 0;
+      submit = (fun _ _ -> ());
+      receive =
+        (fun m ->
+          (match m with Message.Join j -> note j.join_seq | _ -> ());
+          `Queued);
+      has_work = (fun () -> false);
+      take_next = (fun () -> None);
+      process = (fun _ -> []);
+      fire_timer =
+        (function
+        | Dtick id ->
+            note id;
+            actions id
+        | _ -> []);
+      start =
+        (fun () ->
+          note 0;
+          actions 0);
+    }
+  in
+  let s =
+    Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
+      ~participants:[| p |] ()
+  in
+  sim := Some s;
+  let phases = tier_phases seed in
+  List.iteri
+    (fun k (gap, offsets) ->
+      List.iter
+        (fun off ->
+          let c = fresh "call" in
+          Netsim.call_at s ~at:(Netsim.now s + off) (call c))
+        offsets;
+      Netsim.run_until s
+        (if k = List.length phases - 1 then max_int else Netsim.now s + gap))
+    phases;
+  (List.rev !log, Netsim.stats s, !next)
+
+(* The reference: pending events in a list sorted by (at, seq). A slot's
+   pending arm is the one event that will fire for it; a re-arm no
+   earlier replaces it, an earlier one is queued as a plain event. *)
+let tier_model seed =
+  let log = ref [] and queue = ref [] in
+  let now = ref 0 and busy = ref 0 and next = ref 1 in
+  let fired = ref 0 and superseded = ref 0 in
+  let latest = Array.make Participant.timer_slots None in
+  let insert at id kind =
+    let at = max at !now in
+    let rec ins = function
+      | ((a, s, _) as e) :: rest when (a, s) < (at, id) -> e :: ins rest
+      | l -> (at, id, kind) :: l
+    in
+    queue := ins !queue
+  in
+  let interpret specs cursor =
+    List.fold_left
+      (fun cursor spec ->
+        let id = !next in
+        incr next;
+        match spec with
+        | D_arm d ->
+            insert (cursor + d) id (`Arm "arm");
+            cursor
+        | D_rearm (s, d) ->
+            let at = max (cursor + d) !now in
+            (match latest.(s) with
+            | None ->
+                latest.(s) <- Some (at, id);
+                insert at id (`Slot s)
+            | Some (la, lid) when at >= la ->
+                incr superseded;
+                queue := List.filter (fun (_, x, _) -> x <> lid) !queue;
+                latest.(s) <- Some (at, id);
+                insert at id (`Slot s)
+            | Some _ -> insert at id (`Arm "rearm"));
+            cursor
+        | D_loop ->
+            let cursor = cursor + send_op_ns in
+            insert (cursor + 1_000) id `Loop;
+            cursor)
+      cursor specs
+  in
+  let rec schedule_calls offsets =
+    List.iter
+      (fun off ->
+        insert (!now + off) !next `Call;
+        incr next)
+      offsets
+  and dispatch id = function
+    | `Start ->
+        log := (!now, id, "start") :: !log;
+        ignore (interpret (tier_actions seed id) !now)
+    | `Call ->
+        log := (!now, id, "call") :: !log;
+        schedule_calls (tier_calls seed id)
+    | `Loop -> log := (!now, id, "loop") :: !log
+    | (`Arm _ | `Slot _) as k ->
+        let kind = match k with `Arm kind -> kind | `Slot _ -> "rearm" in
+        log := (!now, id, kind) :: !log;
+        (match k with `Slot s -> latest.(s) <- None | `Arm _ -> ());
+        incr fired;
+        let specs = tier_actions seed id in
+        if specs <> [] then busy := interpret specs (max !now !busy + 500)
+  in
+  insert 0 0 `Start;
+  let phases = tier_phases seed in
+  List.iteri
+    (fun k (gap, offsets) ->
+      schedule_calls offsets;
+      let horizon =
+        if k = List.length phases - 1 then max_int else !now + gap
+      in
+      let rec run () =
+        match !queue with
+        | (at, id, kind) :: rest when at <= horizon ->
+            queue := rest;
+            now := at;
+            dispatch id kind;
+            run ()
+        | _ -> ()
+      in
+      run ();
+      now := max !now horizon)
+    phases;
+  (List.rev !log, !fired, !superseded)
+
+let prop_tiers_match_model =
+  QCheck.Test.make ~name:"two-tier queue dispatches like a reference model"
+    ~count:300 QCheck.int (fun seed ->
+      let log, st, _ = tier_real seed in
+      let expected, fired, superseded = tier_model seed in
+      if log <> expected then begin
+        let show (t, s, k) = Printf.sprintf "(%d, %d, %s)" t s k in
+        let rec first_diff i = function
+          | a :: ra, b :: rb when a = b -> first_diff (i + 1) (ra, rb)
+          | a :: _, b :: _ -> Printf.sprintf "#%d: got %s, model %s" i (show a) (show b)
+          | [], b :: _ -> Printf.sprintf "#%d: missing %s" i (show b)
+          | a :: _, [] -> Printf.sprintf "#%d: extra %s" i (show a)
+          | [], [] -> "equal"
+        in
+        QCheck.Test.fail_reportf "seed %d: %s" seed (first_diff 0 (log, expected))
+      end;
+      st.timers_fired = fired && st.timers_superseded = superseded)
+
+(* The script reaches what the property is about: both tiers, and
+   requeued slot events (every push beyond one per scheduled event that
+   a superseding arm did not absorb is a requeue). *)
+let test_tier_script_coverage () =
+  let near = ref 0 and far = ref 0 and requeues = ref 0 in
+  for seed = 0 to 49 do
+    let _, st, events = tier_real seed in
+    near := !near + st.near_pushes;
+    far := !far + st.far_pushes;
+    requeues :=
+      !requeues + st.near_pushes + st.far_pushes - (events - st.timers_superseded)
+  done;
+  check Alcotest.bool (Printf.sprintf "near pushes %d" !near) true (!near > 1_000);
+  check Alcotest.bool (Printf.sprintf "far pushes %d" !far) true (!far > 1_000);
+  check Alcotest.bool (Printf.sprintf "requeues %d" !requeues) true (!requeues > 200)
+
 let suite =
   [
     ("idle token circulates", `Quick, test_idle_token_circulates);
@@ -853,4 +1133,7 @@ let suite =
     ("rearm tie order pinned", `Quick, test_rearm_tie_order);
     ("rearm earlier deadline falls back", `Quick,
       test_rearm_earlier_deadline_fallback);
+    QCheck_alcotest.to_alcotest prop_tiers_match_model;
+    ("two-tier script covers both tiers and requeues", `Quick,
+      test_tier_script_coverage);
   ]

@@ -176,9 +176,26 @@ let test_rearm_fires_like_arm () =
   check Alcotest.(list string) "fires"
     [ "a"; "b"; "c"; "y"; "x" ] (List.rev !fired)
 
+(* The select timeout: a poll with work pending or under 100 µs left
+   (a shorter sleep overshoots in the kernel), else the time left capped
+   at 50 ms. *)
+let test_select_timeout () =
+  let timeout has_work remaining_ns =
+    Udp_runtime.select_timeout ~has_work ~remaining_ns
+  in
+  let f = Alcotest.float 1e-12 in
+  check f "work pending" 0.0 (timeout true 10_000_000);
+  check f "deadline passed" 0.0 (timeout false (-5));
+  check f "sub-microsecond" 0.0 (timeout false 1);
+  check f "just under threshold" 0.0 (timeout false 99_999);
+  check f "at threshold" 100e-6 (timeout false 100_000);
+  check f "time left" 0.02 (timeout false 20_000_000);
+  check f "capped" 0.05 (timeout false 3_000_000_000)
+
 let suite =
   [
     ("3-node UDP ring", `Slow, test_three_node_udp_ring);
     ("daemon stack over UDP", `Slow, test_daemon_stack_over_udp);
     ("rearm fires like a plain arm", `Quick, test_rearm_fires_like_arm);
+    ("select timeout polls near a deadline", `Quick, test_select_timeout);
   ]

@@ -156,6 +156,46 @@ let test_deque_fold_iter () =
   Deque.clear d;
   check Alcotest.bool "cleared" true (Deque.is_empty d)
 
+(* Popped and cleared elements must not stay reachable through the
+   buffer: not from the vacated cell, nor from the cells [grow] filled
+   with the element that made it grow. The clear spans the wrap point. *)
+let[@inline never] deque_churn d w =
+  let elt k =
+    let x = Bytes.make 16 (Char.chr (65 + k)) in
+    Weak.set w k (Some x);
+    x
+  in
+  Deque.push_back d (elt 0);
+  Deque.push_front d (elt 1);
+  Deque.push_back d (elt 2);
+  Deque.push_back d (elt 3);
+  ignore (Sys.opaque_identity (Deque.pop_back d));
+  ignore (Sys.opaque_identity (Deque.pop_front d));
+  Deque.push_front d (elt 4);
+  check Alcotest.int "three queued" 3 (Deque.length d);
+  Deque.clear d
+
+let test_deque_releases_elements () =
+  let d = Deque.create () in
+  let w = Weak.create 5 in
+  deque_churn d w;
+  Gc.full_major ();
+  for k = 0 to 4 do
+    check Alcotest.bool (Printf.sprintf "element %d collected" k) false
+      (Weak.check w k)
+  done;
+  Deque.push_back d (Bytes.make 1 'z');
+  check Alcotest.int "deque still usable" 1 (Deque.length d);
+  (* A float deque's flat buffer is left alone. *)
+  let f = Deque.create () in
+  List.iter (Deque.push_back f) [ 1.5; 2.5; 3.5 ];
+  check (Alcotest.option (Alcotest.float 0.)) "float pop" (Some 1.5)
+    (Deque.pop_front f);
+  check (Alcotest.option (Alcotest.float 0.)) "float pop back" (Some 3.5)
+    (Deque.pop_back f);
+  Deque.clear f;
+  check Alcotest.bool "float cleared" true (Deque.is_empty f)
+
 type deque_op = Push_back of int | Push_front of int | Pop_back | Pop_front
 
 let deque_op_gen =
@@ -546,6 +586,7 @@ let suite =
     ("deque wraparound", `Quick, test_deque_wraparound);
     ("deque push_front wrap + growth", `Quick, test_deque_push_front_wrap_growth);
     ("deque fold/iter", `Quick, test_deque_fold_iter);
+    ("deque releases popped elements", `Quick, test_deque_releases_elements);
     qtest prop_deque_model;
     ("stats basic", `Quick, test_stats_basic);
     ("stats stddev", `Quick, test_stats_stddev);
